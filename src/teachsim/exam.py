@@ -27,6 +27,9 @@ from .learners import (SaturationError, feedback_invert, forgetting_step,
 from .rng import KEY_PROBE, KEY_QUERIES, substream
 
 _RANK_TOL = 1e-10
+# Rounding slack of one feedback response, in units in the last place:
+# the student's sigmoid is an exp, an add and a divide.
+_RESPONSE_ULPS = 4.0
 # Tangent offsets below this are treated as exact hits when pinning
 # coordinates of the direction estimate.
 _PIN_OFFSET = 1e-13
@@ -177,14 +180,18 @@ class RecoveryConfig:
 class ExamResult:
     """Outcome of one exam.
 
-    Exact branches report the max linear-system residual; the sign branch
-    reports a certified bound on sin(angle) between the estimated and true
-    directions, plus the per-round direction history for diagnostics.
+    Exact branches report the max linear-system residual and, for the
+    sigmoid channel, the inversion error: how far the rounding of each
+    response can move F^-1(r), propagated through the query matrix.  The
+    sign branch reports a certified bound on sin(angle) between the
+    estimated and true directions, plus the per-round direction history
+    for diagnostics.
     """
     v_hat: np.ndarray
     queries_used: int
     kind: str
     residual: float | None = None
+    inversion_error: float = 0.0
     angle_bound: float | None = None
     known_norm: float | None = None
     alpha_history: tuple = field(default=())
@@ -197,7 +204,7 @@ class ExamResult:
     def est_error(self):
         """Bound on ||v_hat - G^T w|| implied by this exam."""
         if self.residual is not None:
-            return self.residual
+            return self.residual + self.inversion_error
         return self.known_norm * self.angle_bound
 
 
@@ -231,18 +238,44 @@ def make_paired_queries(d, seed, standard=False):
 
 
 def _solve_square(queries, rhs):
+    """Solve queries @ v = rhs; returns v and the smallest singular value."""
     svals = np.linalg.svd(queries, compute_uv=False)
     if svals[-1] <= _RANK_TOL * svals[0]:
         raise RankDeficientError(
             f"query matrix numerically singular (relative smallest "
             f"singular value {svals[-1] / svals[0]:.3e})")
-    return np.linalg.solve(queries, rhs)
+    return np.linalg.solve(queries, rhs), float(svals[-1])
+
+
+def _logit(p):
+    """Inverse sigmoid on [0, 1], infinite at the ends."""
+    p = np.clip(p, 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        return np.log(p) - np.log1p(-p)
+
+
+def _sigmoid_inversion_error(responses, rhs, sigma_min):
+    """Bound on ||Q^-1 (F^-1(r_true) - rhs)|| for sigmoid responses.
+
+    Each response is known to within _RESPONSE_ULPS ulps, so the exact
+    prediction lies between the logits of r -+ that slack; near
+    saturation the derivative 1 / (r (1 - r)) amplifies the rounding, and
+    the clamp inside feedback_invert can move rhs further.  The per-query
+    error vector is propagated by ||Q^-1|| = 1 / sigma_min; it is
+    infinite when a response sits within the slack of 0 or 1.
+    """
+    slack = _RESPONSE_ULPS * np.spacing(responses)
+    err = np.maximum(np.abs(_logit(responses - slack) - rhs),
+                     np.abs(_logit(responses + slack) - rhs))
+    return float(np.linalg.norm(err)) / sigma_min
 
 
 def exact_recover_bijective(queries, responses, feedback):
     """Recover v = G^T w from responses through an invertible feedback.
 
     Inverts F pointwise and solves the d x d system <v, q_j> = F^-1(r_j).
+    The sigmoid inverse amplifies response rounding without bound as r
+    nears 0 or 1; that error is reported as ``inversion_error``.
     """
     if queries.kind != "basis_d":
         raise ValueError(f"expected basis_d queries, got {queries.kind!r}")
@@ -251,10 +284,13 @@ def exact_recover_bijective(queries, responses, feedback):
         raise ValueError(
             f"expected {len(queries)} responses, got shape {responses.shape}")
     rhs = feedback_invert(feedback, responses)
-    v_hat = _solve_square(queries.matrix, rhs)
+    v_hat, sigma_min = _solve_square(queries.matrix, rhs)
     residual = float(np.max(np.abs(queries.matrix @ v_hat - rhs)))
+    inversion = (_sigmoid_inversion_error(responses, rhs, sigma_min)
+                 if feedback == "sigmoid" else 0.0)
     return ExamResult(v_hat=v_hat, queries_used=len(queries),
-                      kind="exact_bijective", residual=residual)
+                      kind="exact_bijective", residual=residual,
+                      inversion_error=inversion)
 
 
 def exact_recover_hinge(queries, responses):
@@ -278,7 +314,7 @@ def exact_recover_hinge(queries, responses):
     pos = responses[0::2]
     neg = responses[1::2]
     rhs = np.where(pos > 0, pos, -neg)
-    v_hat = _solve_square(base, rhs)
+    v_hat, _ = _solve_square(base, rhs)
     residual = float(np.max(np.abs(base @ v_hat - rhs)))
     return ExamResult(v_hat=v_hat, queries_used=len(queries),
                       kind="exact_hinge", residual=residual)

@@ -15,8 +15,7 @@ import numpy as np
 
 from .exam import RecoveryConfig, RemoteLearner
 from .feature_space import FeatureMap, conjugate_apply, random_map
-from .learners import (ForgettingConfig, LearnerState, loss_value,
-                       training_objective)
+from .learners import ForgettingConfig, LearnerState, _sigmoid, loss_value
 from .rng import (KEY_DATA, KEY_INIT, KEY_SELECT, KEY_SPLIT, derive_seed,
                   substream)
 from .teachers import (ActiveTeacher, LazyTeacher, OmniscientTeacher,
@@ -256,11 +255,6 @@ def project_two_views(features, out_dim, seed_teacher, seed_student,
     student_view, _ = random_project(features, out_dim, seed_student, kind)
     fmap, residual = fit_feature_map(teacher_view, student_view)
     return teacher_view, student_view, fmap, residual
-
-
-def _sigmoid(t):
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _train_square(features, labels, ridge):

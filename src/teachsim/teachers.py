@@ -26,6 +26,7 @@ from .rng import KEY_SELECT, KEY_VOLUME, substream
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SYNTH_GRID_POINTS = 2001
 _GOLDEN_WIDTH = 1e-10
+_LABELS = np.array([[-1.0], [1.0]])
 
 
 class TeachingComplete(Exception):
@@ -227,61 +228,82 @@ def select_pool(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
     return _attach_et(sel, v, eta, loss, spectral, lam)
 
 
-def _line_objective(gamma, v, v_star, eta, loss, direction, b_star):
-    """Best objective (and its label) at a point on the synthesis line."""
-    x = gamma * direction
-    if loss == "square":
-        y = gamma * b_star
-        return omniscient_objective(v, v_star, eta, loss, x, y), y
-    best = (np.inf, 1.0)
-    for y in (-1.0, 1.0):
-        val = omniscient_objective(v, v_star, eta, loss, x, y)
-        if val < best[0]:
-            best = (val, y)
-    return best
+def _line_values(gamma, a, c, n, eta, loss):
+    """One-step objective at x = gamma * u for the labels -1 and +1.
+
+    With a = <v, u>, c = <v - v*, u> and n = ||u||^2 the prediction is
+    gamma * a and the objective eta^2 beta^2 gamma^2 n - 2 eta beta gamma
+    c, so no d-vector is needed.  gamma broadcasts; row 0 holds label -1.
+    """
+    beta = loss_grad(loss, gamma * a, _LABELS)
+    return (eta * eta * beta * beta * (gamma * gamma * n)
+            - 2.0 * eta * beta * (gamma * c))
+
+
+def _classification_line_search(a, c, n, g_max, eta, loss):
+    """Grid scan plus golden-section refinement; returns (gamma, label)."""
+    grid = np.linspace(-g_max, g_max, _SYNTH_GRID_POINTS)
+    vals = np.min(_line_values(grid, a, c, n, eta, loss), axis=0)
+    i = int(np.argmin(vals))
+
+    def phi(g):
+        return float(np.min(_line_values(g, a, c, n, eta, loss)))
+
+    # The width floor is relative to the bracket magnitude: an absolute
+    # floor below one ulp of the endpoints never terminates.
+    lo = float(grid[max(i - 1, 0)])
+    hi = float(grid[min(i + 1, len(grid) - 1)])
+    p = hi - _GOLDEN * (hi - lo)
+    q = lo + _GOLDEN * (hi - lo)
+    fp, fq = phi(p), phi(q)
+    while (hi - lo) > _GOLDEN_WIDTH * max(1.0, abs(lo), abs(hi)):
+        if fp <= fq:
+            hi, q, fq = q, p, fp
+            p = hi - _GOLDEN * (hi - lo)
+            fp = phi(p)
+        else:
+            lo, p, fp = p, q, fq
+            q = lo + _GOLDEN * (hi - lo)
+            fq = phi(q)
+    gamma = 0.5 * (lo + hi)
+    if vals[i] < phi(gamma):
+        gamma = float(grid[i])
+    labels = _line_values(gamma, a, c, n, eta, loss)[:, 0]
+    return gamma, float(_LABELS[int(np.argmin(labels)), 0])
 
 
 def _synthesis_search(v, v_star, direction, norm_bound, eta, loss):
-    """Grid-plus-golden-section minimization along gamma * direction."""
-    dir_norm = float(np.linalg.norm(direction))
-    if dir_norm == 0.0:
+    """Minimize the one-step objective along gamma * direction.
+
+    gamma ranges over |gamma| <= g_max = norm_bound / ||u|| for the
+    direction u, and the objective depends on u only through three
+    scalars computed once: a = <v, u>, c = <v - v*, u> and n = ||u||^2.
+
+    Square loss labels x with the target's prediction gamma <v*, u>, so
+    beta = gamma c and the objective eta^2 c^2 n s^2 - 2 eta c^2 s is a
+    quadratic in s = gamma^2, minimized at s = 1 / (eta n) clipped to
+    g_max^2.  Of the two roots the negative one is returned.
+
+    Classification losses try both labels.  _line_values scores a
+    2001-point gamma grid for both in one array expression; a
+    golden-section search on the same scalars refines the bracket around
+    the grid winner, which is kept if the refinement does not beat it.
+    """
+    n = float(direction @ direction)
+    if n == 0.0:
         raise TeachingComplete("virtual learner already matches the target")
-    b_star = float(np.asarray(v_star) @ direction)
-    g_max = norm_bound / dir_norm
-    grid = np.linspace(-g_max, g_max, _SYNTH_GRID_POINTS)
-
-    def phi(g):
-        return _line_objective(g, v, v_star, eta, loss, direction, b_star)
-
-    vals = np.array([phi(g)[0] for g in grid])
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-
-    # Golden-section refinement of the bracket around the grid winner.
-    # The width floor is relative to the bracket magnitude: an absolute
-    # floor below one ulp of the endpoints never terminates.
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = phi(c)[0], phi(d)[0]
-    while (b - a) > _GOLDEN_WIDTH * max(1.0, abs(a), abs(b)):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = phi(c)[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = phi(d)[0]
-    gamma = 0.5 * (a + b)
-    obj, label = phi(gamma)
-    if vals[i] < obj:
-        gamma = float(grid[i])
-        obj, label = phi(gamma)
+    g_max = norm_bound / math.sqrt(n)
+    if loss == "square":
+        root = 1.0 / math.sqrt(eta * n) if eta * n > 0.0 else math.inf
+        gamma = -min(root, g_max)
+        label = gamma * float(v_star @ direction)
+    else:
+        gamma, label = _classification_line_search(
+            float(v @ direction), float((v - v_star) @ direction), n, g_max,
+            eta, loss)
     x_sel = gamma * direction
     return SelectedExample(
-        x=x_sel, y=float(label), gamma=float(gamma),
+        x=x_sel, y=label, gamma=gamma,
         objective=omniscient_objective(v, v_star, eta, loss, x_sel, label))
 
 
@@ -289,8 +311,10 @@ def select_synthesis(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
     """Best synthesized example gamma * (v - v*) within the norm ball.
 
     The label for the square loss is the target's own prediction
-    <v*, x>; classification losses try both labels.  gamma is located by
-    a 2001-point grid scan refined by golden-section search.
+    <v*, x>; classification losses try both labels.  The search runs on
+    three scalars of the direction (see _synthesis_search): a closed form
+    for the square loss, a vectorized grid plus golden-section refinement
+    otherwise.
     """
     if mode.tag != "synthesis":
         raise ValueError(
@@ -306,7 +330,9 @@ def select_combination(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
 
     The search direction is the projection of (v - v*) onto span(D); a
     projection this close to zero means the remaining error is invisible
-    inside the span and teaching cannot proceed.
+    inside the span and teaching cannot proceed.  gamma is found by the
+    same three-scalar line search as select_synthesis, with
+    c = <v - v*, u> taken against the projected direction u.
     """
     if mode.tag != "combination":
         raise ValueError(
@@ -322,6 +348,11 @@ def select_combination(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
                 stacklevel=2)
     direction = project_span(mode.span, v - v_star)
     if float(np.linalg.norm(direction)) <= 1e-12:
+        # the square-loss closed form lands on the target to rounding, so
+        # a vanishing projection of a vanishing distance means done
+        if float(np.linalg.norm(v - v_star)) <= 1e-12:
+            raise TeachingComplete(
+                "virtual learner matches the target to 1e-12")
         raise DegenerateDirectionError(
             "teaching direction has no component in the candidate span")
     sel = _synthesis_search(v, v_star, direction, mode.norm_bound, eta, loss)

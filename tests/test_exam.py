@@ -103,6 +103,21 @@ def test_sigmoid_saturation_raises():
         construct_virtual_learner(rem, RecoveryConfig(query_seed=0))
 
 
+def test_sigmoid_est_error_bounds_a_saturating_learner():
+    # |<v, q>| reaches the 30s on Gaussian queries: the responses lie
+    # within 1e-12 of 1, their rounding is amplified by 1 / (r (1 - r))
+    # and the clamp of feedback_invert moves them further, so the solve
+    # residual alone certifies a badly wrong learner
+    fmap = random_map(8, "identity", 0)
+    w = np.random.default_rng(0).standard_normal(8)
+    w *= 15.0 / np.linalg.norm(w)
+    rem = _remote(w, "sigmoid", fmap, loss="logistic")
+    res = construct_virtual_learner(rem, RecoveryConfig(query_seed=0))
+    err = float(np.linalg.norm(res.v_hat - conjugate_apply(fmap, w)))
+    assert err > 1.0 and res.residual < 1e-12
+    assert err <= res.est_error()
+
+
 def _sign_oracle_for(v):
     v = np.asarray(v, dtype=np.float64)
 

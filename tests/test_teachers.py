@@ -1,8 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from teachsim.exam import RecoveryConfig, RemoteLearner
-from teachsim.feature_space import SpanMetric, random_map, spectral_stats
+from teachsim.feature_space import (SpanMetric, project_span, random_map,
+                                    spectral_stats)
 from teachsim.learners import LearnerState, loss_grad
 from teachsim.teachers import (ActiveTeacher, DegenerateDirectionError,
                                LazyTeacher, OmniscientTeacher, RandomTeacher,
@@ -156,6 +162,73 @@ def test_synthesis_terminates_near_convergence():
     assert np.linalg.norm(sel.x) <= 50.0 + 1e-6
 
 
+def _per_point_grid_best(v, v_star, u, norm_bound, eta, loss):
+    """Best of the 2001-point gamma grid, each point scored on x = gamma u
+    by omniscient_objective, and the largest rounding error of a score.
+
+    beta = z - y cancels near convergence, so its error is taken relative
+    to |z| + |y| rather than to beta itself.
+    """
+    g_max = norm_bound / float(np.linalg.norm(u))
+    grid = np.linspace(-g_max, g_max, 2001)
+    if loss == "square":
+        labels = grid[:, None] * float(v_star @ u)
+    else:
+        labels = np.tile([-1.0, 1.0], (grid.size, 1))
+    best = min(omniscient_objective(v, v_star, eta, loss, g * u, float(y))
+               for g, row in zip(grid, labels) for y in row)
+    x = grid[:, None] * u
+    z = (x @ v)[:, None]
+    xx = np.einsum("ij,ij->i", x, x)[:, None]
+    dx = np.abs(x @ (v - v_star))[:, None]
+    beta = np.abs(loss_grad(loss, z, labels))
+    err = np.finfo(np.float64).eps * (
+        (2.0 * eta * eta * beta * xx + 2.0 * eta * dx)
+        * (np.abs(z) + np.abs(labels))
+        + eta * eta * beta * beta * xx + 2.0 * eta * beta * dx)
+    return best, float(np.max(err))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mode_kind=st.sampled_from(("synthesis", "combination")),
+       loss=st.sampled_from(("square", "logistic", "hinge")),
+       d=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       log_eta=st.floats(-4.0, 0.0), log_bound=st.floats(-1.0, 2.0),
+       gap=st.sampled_from((1.0, 1e-3, 1e-11)))
+# residual distance ~1e-12 makes g_max ~1e13: the golden-section width
+# floor must be relative to the bracket, or the refinement never ends
+@example(mode_kind="synthesis", loss="logistic", d=3, seed=0, log_eta=-2.0,
+         log_bound=math.log10(50.0), gap=1e-12)
+@example(mode_kind="synthesis", loss="square", d=3, seed=0, log_eta=-2.0,
+         log_bound=math.log10(50.0), gap=1e-12)
+def test_synthesis_search_never_worse_than_per_point_grid(
+        mode_kind, loss, d, seed, log_eta, log_bound, gap):
+    gen = np.random.default_rng(seed)
+    eta, norm_bound = 10.0 ** log_eta, 10.0 ** log_bound
+    v = gen.standard_normal(d)
+    v_star = v + gap * gen.standard_normal(d)
+    if mode_kind == "synthesis":
+        mode = TeachingMode.synthesis(norm_bound)
+        u = v - v_star
+        select = select_synthesis
+    else:
+        mode = TeachingMode.combination(
+            gen.standard_normal((d, int(gen.integers(1, d + 1)))), norm_bound)
+        u = project_span(mode.span, v - v_star)
+        assume(float(np.linalg.norm(u)) > 1e-12)
+        select = select_combination
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # v, v* off the span is fine here
+        sel = select(v, v_star, mode, eta, loss)
+    best, err = _per_point_grid_best(v, v_star, u, norm_bound, eta, loss)
+    assert sel.objective <= best + 4.0 * err
+    assert float(np.linalg.norm(sel.x)) <= norm_bound * (1.0 + 1e-12)
+    if loss == "square":
+        n = float(u @ u)
+        expected = min(1.0 / math.sqrt(eta * n), norm_bound / math.sqrt(n))
+        assert math.isclose(abs(sel.gamma), expected, rel_tol=1e-14)
+
+
 def test_combination_projects_direction_into_span():
     gen = np.random.default_rng(3)
     d = 6
@@ -184,6 +257,17 @@ def test_combination_degenerate_direction_raises():
     with pytest.warns(UserWarning):
         with pytest.raises(DegenerateDirectionError):
             select_combination(v, v_star, mode, 0.1, "square")
+
+
+def test_combination_at_target_completes_instead_of_degenerating():
+    # one square-loss step lands on the target to rounding; the next call
+    # must report completion, not a direction outside the span
+    gen = np.random.default_rng(5)
+    cands = gen.standard_normal((4, 6))
+    mode = TeachingMode.combination(cands, norm_bound=1e3)
+    v_star = gen.standard_normal(4)
+    with pytest.raises(TeachingComplete):
+        select_combination(v_star + 1e-14, v_star, mode, 0.1, "square")
 
 
 def test_et_condition_window():
