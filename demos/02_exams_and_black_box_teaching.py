@@ -19,9 +19,10 @@ from teachsim.rng import substream
 
 d = 40
 print("== weight reconstruction through three feedback channels ==")
-for feedback, loss in (("identity", "square"), ("sigmoid", "logistic"),
-                       ("hinge_value", "hinge")):
-    gen = substream(7, hash(feedback) % 1000)
+channels = (("identity", "square"), ("sigmoid", "logistic"),
+            ("hinge_value", "hinge"))
+for i, (feedback, loss) in enumerate(channels):
+    gen = substream(7, i)
     fmap = ts.random_map(d, "general", 7)
     w = gen.standard_normal(d)
     v_true = ts.conjugate_apply(fmap, w)

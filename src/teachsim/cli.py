@@ -17,12 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, apply_master_seed, load_config, write_manifest
 from .exam import RankDeficientError
-from .experiments import (TraceFormatError, TrainingError,
-                          exponential_fit, gen_classification_data,
-                          gen_regression_data, ingest_tabular, read_trace,
-                          run_experiment, run_forgetting_scenario,
-                          run_multi_teacher, samples_to_threshold,
-                          write_tabular, write_trace)
+from .experiments import (TraceFormatError, TrainingError, _build_data,
+                          exponential_fit, read_trace, run_experiment,
+                          run_forgetting_scenario, run_multi_teacher,
+                          samples_to_threshold, write_tabular, write_trace)
 from .learners import SaturationError
 from .svgchart import write_chart
 
@@ -121,13 +119,7 @@ def _run_one_seed(job):
 
 def _cmd_datagen(args, command):
     config, _ = load_config(args.config, _overrides_from_args(args))
-    if config.source is not None:
-        features, labels, _ = ingest_tabular(config.source,
-                                             config.label_column)
-    elif config.dataset.task == "regression":
-        features, labels, _ = gen_regression_data(config.dataset)
-    else:
-        features, labels = gen_classification_data(config.dataset)
+    features, labels = _build_data(config)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     write_tabular(args.out, features, labels, config.label_column)

@@ -4,15 +4,25 @@ A config file describes one run; every key has a default, so the empty
 file is valid.  A manifest is the same format with every value resolved
 (seeds derived, eta materialized) plus bookkeeping sections, so feeding
 a manifest back in reproduces the run byte for byte.
+
+``_SCHEMA`` describes every key once: section -> key -> (target, field,
+parser, formatter), the target being the ExperimentConfig, its
+DatasetSpec or RecoveryConfig, or the ScenarioSpec.  Loading, manifest
+writing and seed re-derivation are all driven by it.  An absent key
+takes its dataclass default, except for two rules of INI files: the
+seeds marked in the table derive from ``[run] seed``, and ``[learner]
+eta`` defaults to ``auto`` (1e-4 in the shared space, else
+0.01 / sigma_max(G)^2).  Keys in ``_RETIRED`` are read by nothing; old
+manifests that carry them still load.
 """
 
 import configparser
 import csv
 import os
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
-from .exam import RecoveryConfig
-from .experiments import DatasetSpec, ExperimentConfig
+from .experiments import ExperimentConfig
 from .feature_space import random_map, spectral_stats
 from .rng import (KEY_DATA, KEY_FORGET, KEY_INIT, KEY_MAP, KEY_QUERIES,
                   derive_seed)
@@ -20,75 +30,8 @@ from .rng import (KEY_DATA, KEY_FORGET, KEY_INIT, KEY_MAP, KEY_QUERIES,
 # Sections written by write_manifest and skipped on load.
 _BOOKKEEPING = ("manifest", "artifacts")
 
-# Seed keys that, when absent, derive from the master [run] seed.
-_DERIVED_SEEDS = (
-    ("dataset", "seed", KEY_DATA),
-    ("map", "seed", KEY_MAP),
-    ("learner", "noise_seed", KEY_FORGET),
-    ("learner", "w0_seed", KEY_INIT),
-    ("recovery", "query_seed", KEY_QUERIES),
-)
-
-_SCHEMA = {
-    "dataset": {
-        "task": "classification",
-        "d": "50",
-        "n": "1000",
-        "noise_sigma": "0.0",
-        "mean_separation": "0.5",
-        "seed": None,
-        "source": "none",
-        "label_column": "label",
-    },
-    "map": {
-        "kind": "identity",
-        "seed": None,
-    },
-    "learner": {
-        "loss": "square",
-        "feedback": "identity",
-        "eta": "auto",
-        "sigma_forget": "0.0",
-        "noise_seed": None,
-        "w0_seed": None,
-    },
-    "teacher": {
-        "kind": "omniscient",
-        "exam_period": "auto",
-        "stop_tol": "1e-6",
-        "lam": "0.0",
-        "adaptive_eps": "false",
-    },
-    "mode": {
-        "kind": "pool",
-        "norm_bound": "none",
-        "gamma_grid": "auto",
-    },
-    "recovery": {
-        "eps_est": "1e-6",
-        "delta": "0.05",
-        "lam": "0.1",
-        "max_rounds": "60",
-        "contraction_rho": "0.8",
-        "query_seed": None,
-        "standard_queries": "false",
-    },
-    "train": {
-        "ridge": "5e-5",
-    },
-    "run": {
-        "iterations": "1000",
-        "metrics_period": "1",
-        "test_fraction": "0.2",
-        "seed": "0",
-    },
-    "scenario": {
-        "kind": "standard",
-        "sigma_forget": "0.1",
-        "n_teachers": "2",
-        "switch_points": "",
-    },
-}
+# Keys of older manifests that no field reads; loaded and ignored.
+_RETIRED = {("recovery", "delta"), ("recovery", "lam")}
 
 SCENARIO_KINDS = ("standard", "forgetting", "multi-teacher")
 
@@ -97,65 +40,200 @@ class ConfigError(ValueError):
     """A config file failed validation; the message names section.key."""
 
 
+@dataclass(frozen=True)
 class ScenarioSpec:
     """Which runner a config drives, plus its scenario-only knobs."""
+    kind: str = "standard"
+    sigma_forget: float = 0.1
+    n_teachers: int = 2
+    switch_points: tuple = ()
 
-    def __init__(self, kind="standard", sigma_forget=0.1, n_teachers=2,
-                 switch_points=()):
-        if kind not in SCENARIO_KINDS:
+    def __post_init__(self):
+        if self.kind not in SCENARIO_KINDS:
             raise ConfigError(
-                f"scenario.kind: unknown scenario {kind!r}, expected one "
-                f"of {SCENARIO_KINDS}")
-        self.kind = kind
-        self.sigma_forget = sigma_forget
-        self.n_teachers = n_teachers
-        self.switch_points = tuple(switch_points)
-
-    def __eq__(self, other):
-        return (isinstance(other, ScenarioSpec)
-                and (self.kind, self.sigma_forget, self.n_teachers,
-                     self.switch_points)
-                == (other.kind, other.sigma_forget, other.n_teachers,
-                    other.switch_points))
-
-    def __repr__(self):
-        return (f"ScenarioSpec(kind={self.kind!r}, "
-                f"sigma_forget={self.sigma_forget!r}, "
-                f"n_teachers={self.n_teachers!r}, "
-                f"switch_points={self.switch_points!r})")
+                f"scenario.kind: unknown scenario {self.kind!r}, expected "
+                f"one of {SCENARIO_KINDS}")
+        object.__setattr__(self, "switch_points", tuple(self.switch_points))
 
 
-def _parse_int(section, key, raw):
+# Parsers take the raw string and raise ValueError with a message that
+# load_config prefixes with section.key.
+
+def _number(convert, expected):
+    def parse(raw):
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ValueError(f"expected {expected}, got {raw!r}") from None
+    return parse
+
+
+_int = _number(int, "an integer")
+_float = _number(float, "a number")
+
+
+def _bool(raw):
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if raw.strip().lower() not in states:
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return states[raw.strip().lower()]
+
+
+def _choice(*choices):
+    def parse(raw):
+        if raw not in choices:
+            raise ValueError(f"got {raw!r}, expected one of {choices}")
+        return raw
+    return parse
+
+
+def _at_least(low, parse):
+    def parse_bounded(raw):
+        value = parse(raw)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+    return parse_bounded
+
+
+def _words(words, parse):
+    """Map the (case-insensitive) keywords in words, else defer to parse."""
+    def parse_word(raw):
+        word = raw.strip().lower()
+        return words[word] if word in words else parse(raw)
+    return parse_word
+
+
+def _list(parse):
+    return lambda raw: tuple(parse(part) for part in raw.split(","))
+
+
+def _fmt(value):
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    return str(value)
+
+
+def _fmt_grid(grid):
+    return "auto" if grid is None else _fmt(tuple(map(float, grid)))
+
+
+class _Key(NamedTuple):
+    target: str  # "config" | "dataset" | "recovery" | "scenario"
+    field: str
+    parse: Callable
+    fmt: Callable = _fmt
+    seed_label: int | None = None  # derive from [run] seed when absent
+
+
+_SCHEMA = {
+    "dataset": {
+        "task": _Key("dataset", "task",
+                     _choice("regression", "classification")),
+        "d": _Key("dataset", "d", _int),
+        "n": _Key("dataset", "n", _int),
+        "noise_sigma": _Key("dataset", "noise_sigma", _float),
+        "mean_separation": _Key("dataset", "mean_separation", _float),
+        "seed": _Key("dataset", "seed", _int, seed_label=KEY_DATA),
+        "source": _Key("config", "source", _words({"none": None}, str)),
+        "label_column": _Key("config", "label_column", str),
+    },
+    "map": {
+        "kind": _Key("config", "map_kind",
+                     _choice("identity", "unitary", "general")),
+        "seed": _Key("config", "map_seed", _int, seed_label=KEY_MAP),
+    },
+    "learner": {
+        "loss": _Key("config", "loss",
+                     _choice("square", "logistic", "hinge")),
+        "feedback": _Key("config", "feedback",
+                         _choice("identity", "sigmoid", "sign",
+                                 "hinge_value")),
+        "eta": _Key("config", "eta",
+                    _words({"auto": "auto"}, _at_least(0, _float))),
+        "sigma_forget": _Key("config", "sigma_forget", _float),
+        "noise_seed": _Key("config", "noise_seed", _int,
+                           seed_label=KEY_FORGET),
+        "w0_seed": _Key("config", "w0_seed", _int, seed_label=KEY_INIT),
+    },
+    "teacher": {
+        "kind": _Key("config", "teacher",
+                     _choice("random", "omniscient", "lazy", "active")),
+        "exam_period": _Key("config", "exam_period",
+                            _words({"auto": "auto", "none": None},
+                                   _at_least(1, _int))),
+        "stop_tol": _Key("config", "stop_tol", _float),
+        "lam": _Key("config", "lam", _float),
+        "adaptive_eps": _Key("config", "adaptive_eps", _bool),
+    },
+    "mode": {
+        "kind": _Key("config", "mode_kind",
+                     _choice("pool", "rescalable_pool", "synthesis",
+                             "combination")),
+        "norm_bound": _Key("config", "norm_bound",
+                           _words({"none": None}, _float)),
+        "gamma_grid": _Key("config", "gamma_grid",
+                           _words({"auto": None}, _list(_float)), _fmt_grid),
+    },
+    "recovery": {
+        "eps_est": _Key("recovery", "eps_est", _float),
+        "max_rounds": _Key("recovery", "max_rounds", _int),
+        "contraction_rho": _Key("recovery", "contraction_rho", _float),
+        "query_seed": _Key("recovery", "query_seed", _int,
+                           seed_label=KEY_QUERIES),
+        "standard_queries": _Key("recovery", "standard_queries", _bool),
+    },
+    "train": {
+        "ridge": _Key("config", "ridge", _float),
+    },
+    "run": {
+        "iterations": _Key("config", "iterations", _int),
+        "metrics_period": _Key("config", "metrics_period", _int),
+        "test_fraction": _Key("config", "test_fraction", _float),
+        "seed": _Key("config", "run_seed", _int),
+    },
+    "scenario": {
+        "kind": _Key("scenario", "kind", _choice(*SCENARIO_KINDS)),
+        "sigma_forget": _Key("scenario", "sigma_forget", _float),
+        "n_teachers": _Key("scenario", "n_teachers", _int),
+        "switch_points": _Key("scenario", "switch_points",
+                              _words({"": ()}, _list(_int))),
+    },
+}
+
+
+def _derived_seeds(master):
+    """{(section, key): seed} for every seed that derives from master."""
+    return {(section, key): derive_seed(master, entry.seed_label)
+            for section, keys in _SCHEMA.items()
+            for key, entry in keys.items() if entry.seed_label is not None}
+
+
+def _replace(obj, prefix, changes):
+    """dataclasses.replace, with domain errors raised as ConfigError."""
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{section}.{key}: expected an integer, got {raw!r}") from None
+        return replace(obj, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _parse_float(section, key, raw):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"{section}.{key}: expected a number, got {raw!r}") from None
-
-
-def _parse_bool(section, key, raw):
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(
-        f"{section}.{key}: expected a boolean, got {raw!r}")
-
-
-def _parse_choice(section, key, raw, choices):
-    if raw not in choices:
-        raise ConfigError(
-            f"{section}.{key}: got {raw!r}, expected one of {choices}")
-    return raw
+def _assemble(config, scenario, values):
+    """(config, scenario) with each {(section, key): value} applied."""
+    fields = {"config": {}, "dataset": {}, "recovery": {}, "scenario": {}}
+    for (section, key), value in values.items():
+        entry = _SCHEMA[section][key]
+        fields[entry.target][entry.field] = value
+    dataset = _replace(config.dataset, "dataset: ", fields["dataset"])
+    recovery = _replace(config.recovery, "recovery: ", fields["recovery"])
+    config = _replace(config, "", dict(fields["config"], dataset=dataset,
+                                       recovery=recovery))
+    return config, _replace(scenario, "", fields["scenario"])
 
 
 def _csv_dim(path):
@@ -168,6 +246,43 @@ def _csv_dim(path):
     return len(header) - 1
 
 
+def _auto_eta(config):
+    """eta = auto: 1e-4 in the shared space, else 0.01 / sigma_max^2."""
+    if config.map_kind == "identity":
+        return 1e-4
+    d = config.dataset.d if config.source is None else _csv_dim(config.source)
+    stats = spectral_stats(random_map(d, config.map_kind, config.map_seed))
+    return 0.01 / stats.sigma_max ** 2
+
+
+def _read_raw(path, overrides):
+    """{(section, key): raw string} from the file, then the overrides."""
+    parser = configparser.ConfigParser(interpolation=None)
+    if not os.path.exists(path):
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    raw = {}
+    for section in parser.sections():
+        if section in _BOOKKEEPING:
+            continue
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, text in parser.items(section):
+            if (section, key) in _RETIRED:
+                continue
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key {section}.{key}")
+            raw[section, key] = text
+    for (section, key), text in (overrides or {}).items():
+        if key not in _SCHEMA.get(section, {}):
+            raise ConfigError(f"unknown override {section}.{key}")
+        raw[section, key] = text
+    return raw
+
+
 def load_config(path, overrides=None):
     """Parse and resolve a config file; returns (ExperimentConfig,
     ScenarioSpec).
@@ -177,264 +292,34 @@ def load_config(path, overrides=None):
     Manifest bookkeeping sections are ignored, so a manifest is itself a
     valid config reproducing its run.
     """
-    parser = configparser.ConfigParser(interpolation=None)
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    values = {s: dict(d) for s, d in _SCHEMA.items()}
-    explicit = set()
-    for section in parser.sections():
-        if section in _BOOKKEEPING:
-            continue
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
-            values[section][key] = raw
-            explicit.add((section, key))
-    for (section, key), raw in (overrides or {}).items():
-        if section not in _SCHEMA or key not in _SCHEMA[section]:
-            raise ConfigError(f"unknown override {section}.{key}")
-        values[section][key] = raw
-        explicit.add((section, key))
-
-    master = _parse_int("run", "seed", values["run"]["seed"])
-    for section, key, label in _DERIVED_SEEDS:
-        if (section, key) not in explicit:
-            values[section][key] = str(derive_seed(master, label))
-
-    v = values  # shorthand
-
-    source = v["dataset"]["source"]
-    source = None if source.lower() == "none" else source
+    values = {}
+    for (section, key), raw in _read_raw(path, overrides).items():
+        try:
+            values[section, key] = _SCHEMA[section][key].parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from None
+    source = values.get(("dataset", "source"))
     if source is not None:
         base = os.path.dirname(os.path.abspath(path))
-        source = os.path.normpath(os.path.join(base, source))
-
-    task = _parse_choice("dataset", "task", v["dataset"]["task"],
-                         ("regression", "classification"))
-    try:
-        dataset = DatasetSpec(
-            task=task,
-            d=_parse_int("dataset", "d", v["dataset"]["d"]),
-            n=_parse_int("dataset", "n", v["dataset"]["n"]),
-            noise_sigma=_parse_float("dataset", "noise_sigma",
-                                     v["dataset"]["noise_sigma"]),
-            mean_separation=_parse_float("dataset", "mean_separation",
-                                         v["dataset"]["mean_separation"]),
-            seed=_parse_int("dataset", "seed", v["dataset"]["seed"]))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"dataset: {exc}") from None
-
-    map_kind = _parse_choice("map", "kind", v["map"]["kind"],
-                             ("identity", "unitary", "general"))
-    map_seed = _parse_int("map", "seed", v["map"]["seed"])
-
-    loss = _parse_choice("learner", "loss", v["learner"]["loss"],
-                         ("square", "logistic", "hinge"))
-    feedback = _parse_choice(
-        "learner", "feedback", v["learner"]["feedback"],
-        ("identity", "sigmoid", "sign", "hinge_value"))
-
-    eta_raw = v["learner"]["eta"]
-    if eta_raw.strip().lower() == "auto":
-        if map_kind == "identity":
-            eta = 1e-4
-        else:
-            d = dataset.d if source is None else _csv_dim(source)
-            stats = spectral_stats(random_map(d, map_kind, map_seed))
-            eta = 0.01 / stats.sigma_max ** 2
-    else:
-        eta = _parse_float("learner", "eta", eta_raw)
-    if eta < 0:
-        raise ConfigError(f"learner.eta: must be >= 0, got {eta}")
-
-    period_raw = v["teacher"]["exam_period"].strip().lower()
-    if period_raw == "auto":
-        exam_period = "auto"
-    elif period_raw == "none":
-        exam_period = None
-    else:
-        exam_period = _parse_int("teacher", "exam_period", period_raw)
-        if exam_period < 1:
-            raise ConfigError(
-                f"teacher.exam_period: must be >= 1, got {exam_period}")
-
-    bound_raw = v["mode"]["norm_bound"].strip().lower()
-    norm_bound = (None if bound_raw == "none"
-                  else _parse_float("mode", "norm_bound", bound_raw))
-
-    grid_raw = v["mode"]["gamma_grid"].strip()
-    if grid_raw.lower() == "auto":
-        gamma_grid = None
-    else:
-        gamma_grid = tuple(
-            _parse_float("mode", "gamma_grid", part)
-            for part in grid_raw.split(","))
-
-    try:
-        recovery = RecoveryConfig(
-            eps_est=_parse_float("recovery", "eps_est",
-                                 v["recovery"]["eps_est"]),
-            delta=_parse_float("recovery", "delta", v["recovery"]["delta"]),
-            lam=_parse_float("recovery", "lam", v["recovery"]["lam"]),
-            max_rounds=_parse_int("recovery", "max_rounds",
-                                  v["recovery"]["max_rounds"]),
-            contraction_rho=_parse_float("recovery", "contraction_rho",
-                                         v["recovery"]["contraction_rho"]),
-            query_seed=_parse_int("recovery", "query_seed",
-                                  v["recovery"]["query_seed"]),
-            standard_queries=_parse_bool("recovery", "standard_queries",
-                                         v["recovery"]["standard_queries"]))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"recovery: {exc}") from None
-
-    try:
-        config = ExperimentConfig(
-            dataset=dataset,
-            source=source,
-            label_column=v["dataset"]["label_column"],
-            map_kind=map_kind,
-            map_seed=map_seed,
-            loss=loss,
-            feedback=feedback,
-            eta=eta,
-            sigma_forget=_parse_float("learner", "sigma_forget",
-                                      v["learner"]["sigma_forget"]),
-            noise_seed=_parse_int("learner", "noise_seed",
-                                  v["learner"]["noise_seed"]),
-            w0_seed=_parse_int("learner", "w0_seed", v["learner"]["w0_seed"]),
-            teacher=_parse_choice("teacher", "kind", v["teacher"]["kind"],
-                                  ("random", "omniscient", "lazy",
-                                   "active")),
-            exam_period=exam_period,
-            stop_tol=_parse_float("teacher", "stop_tol",
-                                  v["teacher"]["stop_tol"]),
-            mode_kind=_parse_choice("mode", "kind", v["mode"]["kind"],
-                                    ("pool", "rescalable_pool", "synthesis",
-                                     "combination")),
-            norm_bound=norm_bound,
-            gamma_grid=gamma_grid,
-            recovery=recovery,
-            adaptive_eps=_parse_bool("teacher", "adaptive_eps",
-                                     v["teacher"]["adaptive_eps"]),
-            lam=_parse_float("teacher", "lam", v["teacher"]["lam"]),
-            ridge=_parse_float("train", "ridge", v["train"]["ridge"]),
-            iterations=_parse_int("run", "iterations",
-                                  v["run"]["iterations"]),
-            metrics_period=_parse_int("run", "metrics_period",
-                                      v["run"]["metrics_period"]),
-            test_fraction=_parse_float("run", "test_fraction",
-                                       v["run"]["test_fraction"]),
-            run_seed=master)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
-
-    sw_raw = v["scenario"]["switch_points"].strip()
-    switch_points = (tuple(_parse_int("scenario", "switch_points", p)
-                           for p in sw_raw.split(",")) if sw_raw else ())
-    scenario = ScenarioSpec(
-        kind=_parse_choice("scenario", "kind", v["scenario"]["kind"],
-                           SCENARIO_KINDS),
-        sigma_forget=_parse_float("scenario", "sigma_forget",
-                                  v["scenario"]["sigma_forget"]),
-        n_teachers=_parse_int("scenario", "n_teachers",
-                              v["scenario"]["n_teachers"]),
-        switch_points=switch_points)
+        values["dataset", "source"] = os.path.normpath(
+            os.path.join(base, source))
+    master = values.get(("run", "seed"), ExperimentConfig.run_seed)
+    values = {("learner", "eta"): "auto", **_derived_seeds(master), **values}
+    config, scenario = _assemble(ExperimentConfig(), ScenarioSpec(), values)
+    if config.eta == "auto":
+        config = replace(config, eta=_auto_eta(config))
     return config, scenario
-
-
-def _fmt_value(value):
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def config_to_dict(config, scenario=None):
     """Fully resolved {section: {key: string}} view of a run config."""
-    scenario = scenario or ScenarioSpec()
-    d = config.dataset
-    out = {
-        "dataset": {
-            "task": d.task,
-            "d": d.d,
-            "n": d.n,
-            "noise_sigma": d.noise_sigma,
-            "mean_separation": d.mean_separation,
-            "seed": d.seed,
-            "source": config.source,
-            "label_column": config.label_column,
-        },
-        "map": {
-            "kind": config.map_kind,
-            "seed": config.map_seed,
-        },
-        "learner": {
-            "loss": config.loss,
-            "feedback": config.feedback,
-            "eta": config.eta,
-            "sigma_forget": config.sigma_forget,
-            "noise_seed": config.noise_seed,
-            "w0_seed": config.w0_seed,
-        },
-        "teacher": {
-            "kind": config.teacher,
-            "exam_period": ("auto" if config.exam_period == "auto"
-                            else _fmt_value(config.exam_period)),
-            "stop_tol": config.stop_tol,
-            "lam": config.lam,
-            "adaptive_eps": config.adaptive_eps,
-        },
-        "mode": {
-            "kind": config.mode_kind,
-            "norm_bound": config.norm_bound,
-            "gamma_grid": ("auto" if config.gamma_grid is None else
-                           ",".join(repr(float(g))
-                                    for g in config.gamma_grid)),
-        },
-        "recovery": {
-            "eps_est": config.recovery.eps_est,
-            "delta": config.recovery.delta,
-            "lam": config.recovery.lam,
-            "max_rounds": config.recovery.max_rounds,
-            "contraction_rho": config.recovery.contraction_rho,
-            "query_seed": config.recovery.query_seed,
-            "standard_queries": config.recovery.standard_queries,
-        },
-        "train": {
-            "ridge": config.ridge,
-        },
-        "run": {
-            "iterations": config.iterations,
-            "metrics_period": config.metrics_period,
-            "test_fraction": config.test_fraction,
-            "seed": config.run_seed,
-        },
-        "scenario": {
-            "kind": scenario.kind,
-            "sigma_forget": scenario.sigma_forget,
-            "n_teachers": scenario.n_teachers,
-            "switch_points": ",".join(str(p)
-                                      for p in scenario.switch_points),
-        },
-    }
-    return {s: {k: _fmt_value(val) for k, val in keys.items()}
-            for s, keys in out.items()}
+    targets = {"config": config, "dataset": config.dataset,
+               "recovery": config.recovery,
+               "scenario": scenario or ScenarioSpec()}
+    return {section: {key: entry.fmt(getattr(targets[entry.target],
+                                             entry.field))
+                      for key, entry in keys.items()}
+            for section, keys in _SCHEMA.items()}
 
 
 def write_manifest(path, config, scenario=None, command="",
@@ -460,13 +345,5 @@ def apply_master_seed(config, scenario, master):
     Used by multi-seed sweeps: each replicate gets fully independent
     data, map, initialization, noise, and query streams.
     """
-    recovery = replace(config.recovery,
-                       query_seed=derive_seed(master, KEY_QUERIES))
-    return replace(
-        config,
-        dataset=replace(config.dataset, seed=derive_seed(master, KEY_DATA)),
-        map_seed=derive_seed(master, KEY_MAP),
-        noise_seed=derive_seed(master, KEY_FORGET),
-        w0_seed=derive_seed(master, KEY_INIT),
-        recovery=recovery,
-        run_seed=master), scenario
+    return _assemble(config, scenario,
+                     {("run", "seed"): master, **_derived_seeds(master)})

@@ -23,7 +23,7 @@ import numpy as np
 
 from .feature_space import apply_map, conjugate_apply
 from .learners import (SaturationError, feedback_invert, forgetting_step,
-                       loss_grad, respond, sgd_step)
+                       loss_grad, respond)
 from .rng import KEY_PROBE, KEY_QUERIES, substream
 
 _RANK_TOL = 1e-10
@@ -98,10 +98,7 @@ class RemoteLearner:
     def teach(self, x, y):
         """Feed the training pair; the student perceives (G x, y)."""
         x_tilde = apply_map(self._fmap, x)
-        if self._state.sigma_forget > 0.0:
-            self._state = forgetting_step(self._state, x_tilde, y)
-        else:
-            self._state = sgd_step(self._state, x_tilde, y)
+        self._state = forgetting_step(self._state, x_tilde, y)
         self.teaching_samples += 1
 
     def observe_parameters(self):
@@ -142,16 +139,11 @@ class RecoveryConfig:
     """Knobs for virtual-learner construction.
 
     eps_est: target bound on ||v_hat - G^T w|| for the sign branch.
-    delta: confidence budget carried in reports (the sign scheme here is
-      deterministic, so delta only annotates downstream bookkeeping).
-    lam: fraction of the contraction budget allowed to estimation error.
     known_norm: ||G^T w||, which sign feedback cannot reveal.
     contraction_rho: guaranteed per-round shrink factor of the direction
       error's sine.
     """
     eps_est: float = 1e-6
-    delta: float = 0.05
-    lam: float = 0.1
     known_norm: float | None = None
     max_rounds: int = 60
     contraction_rho: float = 0.8
@@ -161,10 +153,6 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.eps_est <= 0:
             raise ValueError(f"eps_est must be > 0, got {self.eps_est}")
-        if not (0 < self.delta < 1):
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-        if not (0 <= self.lam < 1):
-            raise ValueError(f"lam must lie in [0, 1), got {self.lam}")
         if self.known_norm is not None and self.known_norm <= 0:
             raise ValueError(
                 f"known_norm must be > 0 when given, got {self.known_norm}")

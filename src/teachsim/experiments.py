@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exam import RecoveryConfig, RemoteLearner
-from .feature_space import FeatureMap, conjugate_apply, random_map
+from .feature_space import (FeatureMap, conjugate_apply, random_map,
+                            spectral_stats)
 from .learners import ForgettingConfig, LearnerState, _sigmoid, loss_value
 from .rng import (KEY_DATA, KEY_INIT, KEY_SELECT, KEY_SPLIT, derive_seed,
                   substream)
@@ -520,7 +521,6 @@ def run_experiment(config):
     v_star, fmap, mode, evaluator = _prepare(config)
     spectral = None
     if config.teacher in ("active", "lazy") or config.lam > 0:
-        from .feature_space import spectral_stats
         spectral = spectral_stats(fmap)
     learner = _initial_learner(config, fmap)
     remote = RemoteLearner(learner, fmap)
@@ -550,7 +550,6 @@ def run_forgetting_scenario(config, sigma_forget):
     base = replace(config, sigma_forget=sigma, noise_seed=noise_seed,
                    recovery=replace(config.recovery, standard_queries=True))
     v_star, fmap, mode, evaluator = _prepare(base)
-    from .feature_space import spectral_stats
     spectral = spectral_stats(fmap)
     traces = {}
     for kind in TEACHER_KINDS:
@@ -584,7 +583,6 @@ def run_multi_teacher(config, n_teachers, switch_points):
         raise ValueError("switch points must be strictly increasing")
     cfg = replace(config, teacher="active")
     v_star, fmap, mode, evaluator = _prepare(cfg)
-    from .feature_space import spectral_stats
     spectral = spectral_stats(fmap)
     learner = _initial_learner(cfg, fmap)
     remote = RemoteLearner(learner, fmap)

@@ -16,9 +16,6 @@ from .rng import KEY_FORGET, substream
 LOSSES = ("square", "logistic", "hinge")
 FEEDBACKS = ("identity", "sigmoid", "sign", "hinge_value")
 
-# Lipschitz constants of beta(z, y) in z, used by step-size window checks.
-LIPSCHITZ_SMOOTH = {"square": 1.0, "logistic": 0.25, "hinge": 1.0}
-
 _SIGMOID_CLAMP = 1e-12
 
 

@@ -1,8 +1,16 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from teachsim.cli import main
 from teachsim.config import (ConfigError, ScenarioSpec, apply_master_seed,
                              config_to_dict, load_config, write_manifest)
+from teachsim.exam import RecoveryConfig
+from teachsim.experiments import DatasetSpec, ExperimentConfig
 from teachsim.feature_space import random_map, spectral_stats
 from teachsim.rng import KEY_DATA, derive_seed
 
@@ -67,6 +75,14 @@ def test_type_errors_name_section_and_key(tmp_path):
         load_config(_write(tmp_path, "[learner]\nloss = absolute\n"))
     with pytest.raises(ConfigError, match="run.test_fraction"):
         load_config(_write(tmp_path, "[run]\ntest_fraction = lots\n"))
+    with pytest.raises(ConfigError, match="mode.gamma_grid"):
+        load_config(_write(tmp_path, "[mode]\ngamma_grid =\n"))
+    with pytest.raises(ConfigError, match="scenario.switch_points"):
+        load_config(_write(tmp_path, "[scenario]\nswitch_points = 1,x\n"))
+    with pytest.raises(ConfigError, match="teacher.exam_period"):
+        load_config(_write(tmp_path, "[teacher]\nexam_period = never\n"))
+    with pytest.raises(ConfigError, match="mode.norm_bound"):
+        load_config(_write(tmp_path, "[mode]\nnorm_bound = big\n"))
 
 
 def test_domain_validation_surfaces_as_config_error(tmp_path):
@@ -169,3 +185,90 @@ def test_apply_master_seed_rederives_components(tmp_path):
     assert moved.recovery.query_seed != cfg.recovery.query_seed
     # non-seed settings untouched
     assert moved.loss == cfg.loss and moved.iterations == cfg.iterations
+
+
+def test_manifest_with_retired_keys_reruns_identically(tmp_path):
+    text = ("[dataset]\nd = 5\nn = 30\n\n[map]\nkind = general\n\n"
+            "[learner]\nloss = logistic\nfeedback = sigmoid\n\n"
+            "[teacher]\nkind = active\n\n[mode]\nkind = rescalable_pool\n\n"
+            "[run]\nseed = 11\niterations = 20\n")
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert main(["run", "--config", _write(tmp_path, text),
+                 "--out", str(first)]) == 0
+    manifest = (first / "manifest.ini").read_text()
+    assert "delta" not in manifest
+    # Older manifests also carry recovery.delta and recovery.lam.
+    old = _write(tmp_path, manifest.replace(
+        "\nmax_rounds = ", "\ndelta = 0.05\nlam = 0.1\nmax_rounds = "),
+        name="old.ini")
+    assert load_config(old) == load_config(str(first / "manifest.ini"))
+    assert main(["run", "--config", old, "--out", str(rerun)]) == 0
+    assert ((rerun / "trace.csv").read_bytes()
+            == (first / "trace.csv").read_bytes())
+    assert (rerun / "manifest.ini").read_text().count("delta") == 0
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_seeds = st.integers(0, 2 ** 64 - 1)
+_counts = st.integers(1, 10 ** 6)
+
+
+@st.composite
+def _configs(draw):
+    dataset = DatasetSpec(
+        task=draw(st.sampled_from(("regression", "classification"))),
+        d=draw(_counts), n=draw(_counts),
+        noise_sigma=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        mean_separation=draw(_floats), seed=draw(_seeds))
+    recovery = RecoveryConfig(
+        eps_est=draw(st.floats(min_value=0.0, exclude_min=True,
+                               allow_infinity=False)),
+        max_rounds=draw(_counts),
+        contraction_rho=draw(st.floats(0.0, 1.0, exclude_min=True,
+                                       exclude_max=True)),
+        query_seed=draw(_seeds), standard_queries=draw(st.booleans()))
+    config = ExperimentConfig(
+        dataset=dataset,
+        source=draw(st.sampled_from((None, os.path.abspath("data.csv")))),
+        label_column=draw(st.text("abcxyz_0189", min_size=1, max_size=8)),
+        map_kind=draw(st.sampled_from(("identity", "unitary", "general"))),
+        map_seed=draw(_seeds),
+        loss=draw(st.sampled_from(("square", "logistic", "hinge"))),
+        feedback=draw(st.sampled_from(("identity", "sigmoid", "sign",
+                                       "hinge_value"))),
+        eta=draw(st.floats(min_value=0.0, allow_infinity=False)),
+        sigma_forget=draw(_floats), noise_seed=draw(_seeds),
+        w0_seed=draw(_seeds),
+        teacher=draw(st.sampled_from(("random", "omniscient", "lazy",
+                                      "active"))),
+        exam_period=draw(st.sampled_from(("auto", None)) | _counts),
+        stop_tol=draw(_floats),
+        mode_kind=draw(st.sampled_from(("pool", "rescalable_pool",
+                                        "synthesis", "combination"))),
+        norm_bound=draw(st.none() | _floats),
+        gamma_grid=draw(st.none() | st.lists(_floats, min_size=1,
+                                             max_size=4).map(tuple)),
+        recovery=recovery, adaptive_eps=draw(st.booleans()),
+        lam=draw(_floats), ridge=draw(_floats),
+        iterations=draw(st.integers(0, 10 ** 6)),
+        metrics_period=draw(_counts),
+        test_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        run_seed=draw(_seeds))
+    scenario = ScenarioSpec(
+        kind=draw(st.sampled_from(("standard", "forgetting",
+                                   "multi-teacher"))),
+        sigma_forget=draw(_floats), n_teachers=draw(st.integers(-5, 50)),
+        switch_points=draw(st.lists(st.integers(-5, 10 ** 6), max_size=4)))
+    return config, scenario
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_configs())
+def test_manifest_round_trip_over_random_configs(pair):
+    config, scenario = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "manifest.ini")
+        write_manifest(path, config, scenario, command="test")
+        loaded = load_config(path)
+    assert loaded == (config, scenario)
+    assert config_to_dict(*loaded) == config_to_dict(config, scenario)
