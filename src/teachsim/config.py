@@ -96,6 +96,9 @@ def _at_least(low, parse):
     return parse_bounded
 
 
+_seed = _at_least(0, _int)
+
+
 def _words(words, parse):
     """Map the (case-insensitive) keywords in words, else defer to parse."""
     def parse_word(raw):
@@ -140,14 +143,14 @@ _SCHEMA = {
         "n": _Key("dataset", "n", _int),
         "noise_sigma": _Key("dataset", "noise_sigma", _float),
         "mean_separation": _Key("dataset", "mean_separation", _float),
-        "seed": _Key("dataset", "seed", _int, seed_label=KEY_DATA),
+        "seed": _Key("dataset", "seed", _seed, seed_label=KEY_DATA),
         "source": _Key("config", "source", _words({"none": None}, str)),
         "label_column": _Key("config", "label_column", str),
     },
     "map": {
         "kind": _Key("config", "map_kind",
                      _choice("identity", "unitary", "general")),
-        "seed": _Key("config", "map_seed", _int, seed_label=KEY_MAP),
+        "seed": _Key("config", "map_seed", _seed, seed_label=KEY_MAP),
     },
     "learner": {
         "loss": _Key("config", "loss",
@@ -158,9 +161,9 @@ _SCHEMA = {
         "eta": _Key("config", "eta",
                     _words({"auto": "auto"}, _at_least(0, _float))),
         "sigma_forget": _Key("config", "sigma_forget", _float),
-        "noise_seed": _Key("config", "noise_seed", _int,
+        "noise_seed": _Key("config", "noise_seed", _seed,
                            seed_label=KEY_FORGET),
-        "w0_seed": _Key("config", "w0_seed", _int, seed_label=KEY_INIT),
+        "w0_seed": _Key("config", "w0_seed", _seed, seed_label=KEY_INIT),
     },
     "teacher": {
         "kind": _Key("config", "teacher",
@@ -185,7 +188,7 @@ _SCHEMA = {
         "eps_est": _Key("recovery", "eps_est", _float),
         "max_rounds": _Key("recovery", "max_rounds", _int),
         "contraction_rho": _Key("recovery", "contraction_rho", _float),
-        "query_seed": _Key("recovery", "query_seed", _int,
+        "query_seed": _Key("recovery", "query_seed", _seed,
                            seed_label=KEY_QUERIES),
         "standard_queries": _Key("recovery", "standard_queries", _bool),
     },
@@ -196,7 +199,7 @@ _SCHEMA = {
         "iterations": _Key("config", "iterations", _int),
         "metrics_period": _Key("config", "metrics_period", _int),
         "test_fraction": _Key("config", "test_fraction", _float),
-        "seed": _Key("config", "run_seed", _int),
+        "seed": _Key("config", "run_seed", _seed),
     },
     "scenario": {
         "kind": _Key("scenario", "kind", _choice(*SCENARIO_KINDS)),

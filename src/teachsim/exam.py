@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .feature_space import apply_map, conjugate_apply
-from .learners import (SaturationError, feedback_invert, forgetting_step,
-                       loss_grad, respond)
+from .learners import feedback_invert, forgetting_step, loss_grad, respond
 from .rng import KEY_PROBE, KEY_QUERIES, substream
 
 _RANK_TOL = 1e-10

@@ -43,9 +43,11 @@ def _check_labels(loss, y):
 
 
 def _sigmoid(t):
+    # 1 / (1 + e) for t >= 0 and e / (1 + e) below, with e = exp(-|t|)
+    # never overflowing; one division serves both branches
     t = np.asarray(t, dtype=np.float64)
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def loss_value(loss, z, y):

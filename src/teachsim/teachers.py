@@ -27,6 +27,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SYNTH_GRID_POINTS = 2001
 _GOLDEN_WIDTH = 1e-10
 _LABELS = np.array([[-1.0], [1.0]])
+# Objective values per block of select_pool's sweep (~100 KB of doubles).
+_POOL_BLOCK_ELEMENTS = 12288
 
 
 class TeachingComplete(Exception):
@@ -185,7 +187,17 @@ def select_pool(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
 
     Candidates whose rescaled norm violates the mode's norm bound are
     skipped.  Ties break toward the lowest pool index, then the smallest
-    |gamma|.
+    |gamma|, then the earlier grid row.
+
+    The grid is swept in blocks of consecutive gamma rows of at most
+    ``_POOL_BLOCK_ELEMENTS`` objective values (one row when the pool alone
+    is larger).  A whole (grid, pool) sweep builds about fifteen
+    temporaries of grid x k doubles; at the default 82-point grid and
+    k = 1600 each is 1 MB, a size the allocator maps fresh from the kernel
+    on every call, so every page of every temporary page-faults.  Blocks
+    of ~100 KB are reused from the heap instead.  Each candidate's value
+    goes through the same elementwise operations in the same order either
+    way, so blocking changes no bit of any objective.
     """
     if mode.tag not in ("pool", "rescalable_pool"):
         raise ValueError(f"select_pool needs a pool mode, got {mode.tag!r}")
@@ -195,30 +207,34 @@ def select_pool(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
     base_z = x_pool @ v
     base_diff = x_pool @ (v - v_star)
     norms_sq = mode.pool_norms_sq
-    # one (grid, pool) sweep; elementwise ops keep per-candidate rounding
-    # identical to a scalar evaluation
     grid = mode.gamma_grid
-    g_col = grid[:, None]
-    z = g_col * base_z
-    beta = loss_grad(loss, z, y_pool)
-    obj = (eta * eta * beta * beta * (g_col * g_col) * norms_sq
-           - 2.0 * eta * beta * g_col * base_diff)
-    if mode.norm_bound is not None:
-        obj = np.where(
-            np.abs(g_col) * np.sqrt(norms_sq) <= mode.norm_bound, obj, np.inf)
-    best = None  # (objective, index, |gamma|, gamma)
-    rows = np.argmin(obj, axis=1)
-    for gi, i in enumerate(rows):
-        val = obj[gi, i]
-        if not np.isfinite(val):
-            continue
-        key = (float(val), int(i), abs(float(grid[gi])))
-        if best is None or key < best[0]:
-            best = (key, float(grid[gi]))
-    if best is None:
+    norms = np.sqrt(norms_sq)
+    step = max(1, _POOL_BLOCK_ELEMENTS // len(y_pool))
+    # per grid row: value and pool index of its first minimum
+    row_val = np.empty(len(grid))
+    row_idx = np.empty(len(grid), dtype=np.intp)
+    for start in range(0, len(grid), step):
+        g_col = grid[start:start + step, None]
+        beta = loss_grad(loss, g_col * base_z, y_pool)
+        obj = (eta * eta * beta * beta * (g_col * g_col) * norms_sq
+               - 2.0 * eta * beta * g_col * base_diff)
+        if mode.norm_bound is not None:
+            obj = np.where(np.abs(g_col) * norms <= mode.norm_bound,
+                           obj, np.inf)
+        idx = np.argmin(obj, axis=1)
+        row_idx[start:start + step] = idx
+        row_val[start:start + step] = obj[np.arange(len(idx)), idx]
+    # a row whose argmin is not finite (every candidate masked, or a NaN,
+    # which argmin returns first) is skipped; lexsort is stable, so a full
+    # tie on (value, index, |gamma|) keeps the earliest row
+    rows = np.flatnonzero(np.isfinite(row_val))
+    if rows.size == 0:
         raise ValueError(
             "no pool candidate satisfies the norm bound; nothing to teach")
-    (obj_val, idx, _), gamma = best
+    gi = rows[np.lexsort((np.abs(grid[rows]), row_idx[rows],
+                          row_val[rows]))[0]]
+    idx = int(row_idx[gi])
+    gamma = float(grid[gi])
     x_sel = gamma * x_pool[idx]
     y_sel = float(y_pool[idx])
     sel = SelectedExample(

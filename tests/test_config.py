@@ -83,6 +83,11 @@ def test_type_errors_name_section_and_key(tmp_path):
         load_config(_write(tmp_path, "[teacher]\nexam_period = never\n"))
     with pytest.raises(ConfigError, match="mode.norm_bound"):
         load_config(_write(tmp_path, "[mode]\nnorm_bound = big\n"))
+    for section, key in (("run", "seed"), ("dataset", "seed"),
+                         ("map", "seed"), ("learner", "noise_seed"),
+                         ("learner", "w0_seed"), ("recovery", "query_seed")):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            load_config(_write(tmp_path, f"[{section}]\n{key} = -1\n"))
 
 
 def test_domain_validation_surfaces_as_config_error(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from teachsim.feature_space import FeatureMap
 from teachsim.learners import (ForgettingConfig, LearnerState,
-                               SaturationError, feedback_invert,
+                               SaturationError, _sigmoid, feedback_invert,
                                feedback_value, forgetting_step, loss_grad,
                                loss_value, respond, sgd_step,
                                training_objective)
@@ -28,6 +28,22 @@ def test_loss_grad_frozen_scalars():
     assert loss_grad("hinge", 1.5, 1.0) == 0.0
     # kink convention: derivative 0 exactly at y*z == 1
     assert loss_grad("hinge", 1.0, 1.0) == 0.0
+
+
+def test_sigmoid_matches_two_branch_formula_bit_for_bit():
+    specials = [0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0,
+                np.inf, -np.inf, np.nan]
+    gen = np.random.default_rng(5)
+    t = np.concatenate([specials, gen.standard_normal(2000),
+                        gen.standard_normal(2000) * 300.0])
+    e = np.exp(-np.abs(t))
+    two_branch = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    got = _sigmoid(t)
+    np.testing.assert_array_equal(got.view(np.uint64),
+                                  two_branch.view(np.uint64))
+    for x, ref in zip(t[:len(specials)], two_branch):
+        assert np.float64(_sigmoid(x)).view(np.uint64) == \
+            np.float64(ref).view(np.uint64)
 
 
 def test_loss_grad_matches_finite_differences():

@@ -114,6 +114,80 @@ def test_select_pool_respects_norm_bound():
     assert sel.index == 1  # the big row is inadmissible
 
 
+def _scan_pool(v, v_star, mode, eta, loss):
+    # the same per-candidate arithmetic as select_pool, one gamma row at a
+    # time, then every candidate scanned in turn with the (value, index,
+    # |gamma|) key and a strict < (so the earlier row wins a full tie)
+    base_z = mode.pool_x @ v
+    base_diff = mode.pool_x @ (v - v_star)
+    norms = np.sqrt(mode.pool_norms_sq).tolist()
+    best = None
+    for gamma in mode.gamma_grid:
+        beta = loss_grad(loss, gamma * base_z, mode.pool_y)
+        row = (eta * eta * beta * beta * (gamma * gamma) * mode.pool_norms_sq
+               - 2.0 * eta * beta * gamma * base_diff)
+        for i, (val, norm) in enumerate(zip(row.tolist(), norms)):
+            if mode.norm_bound is not None and \
+                    abs(gamma) * norm > mode.norm_bound:
+                continue
+            key = (val, i, abs(float(gamma)))
+            if math.isfinite(val) and (best is None or key < best[0]):
+                best = (key, i, float(gamma))
+    return None if best is None else best[1:]
+
+
+# Pools of few distinct small-integer rows, repeated, and gamma grids
+# symmetric in sign (magnitudes may repeat) make value, index and |gamma|
+# ties common; v = v* or v = 0 makes whole rows tie.  k spans one block
+# (k <= 149 at the 82-point grid) to many blocks of a few rows each, and
+# a bound that is a small fraction of the largest |gamma| ||x|| masks the
+# large-|gamma| blocks whole (or every candidate).
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(loss=st.sampled_from(("square", "logistic", "hinge")),
+       k=st.integers(50, 4000), d=st.integers(1, 5),
+       distinct=st.integers(1, 30), seed=st.integers(0, 2 ** 32 - 1),
+       n_mags=st.integers(0, 41), shuffle=st.booleans(),
+       target=st.sampled_from(("random", "same", "zero")),
+       eta=st.sampled_from((0.01, 0.1, 0.5)),
+       bound=st.sampled_from((None, 1e-4, 0.01, 0.1, 0.5, 1.0)))
+@example(loss="logistic", k=4000, d=5, distinct=30, seed=1, n_mags=0,
+         shuffle=False, target="random", eta=0.01, bound=0.01)
+@example(loss="hinge", k=1600, d=3, distinct=4, seed=2, n_mags=0,
+         shuffle=False, target="same", eta=0.1, bound=None)
+def test_select_pool_equals_candidate_scan_with_ties(
+        loss, k, d, distinct, seed, n_mags, shuffle, target, eta, bound):
+    gen = np.random.default_rng(seed)
+    rows = gen.integers(-2, 3, size=(distinct, d)).astype(float)
+    labels = (gen.choice([-1.0, 0.0, 0.5, 1.0], size=distinct)
+              if loss == "square" else gen.choice([-1.0, 1.0], size=distinct))
+    pick = gen.integers(0, distinct, size=k)
+    pool_x, pool_y = rows[pick], labels[pick]
+    if n_mags == 0:
+        grid = default_gamma_grid()
+    else:  # magnitudes drawn with repeats
+        mags = np.sort(gen.choice([0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0],
+                                  size=n_mags))
+        grid = np.concatenate([-mags[::-1], mags])
+    if shuffle:
+        grid = gen.permutation(grid)
+    if bound is not None:
+        bound *= float(np.max(np.abs(grid))) * float(
+            np.sqrt(np.max(np.einsum("ij,ij->i", pool_x, pool_x))))
+    mode = TeachingMode.rescalable_pool(pool_x, pool_y, gamma_grid=grid,
+                                        norm_bound=bound)
+    v = gen.integers(-1, 2, size=d).astype(float)
+    v_star = {"random": gen.integers(-1, 2, size=d).astype(float),
+              "same": v, "zero": np.zeros(d)}[target]
+    expected = _scan_pool(v, v_star, mode, eta, loss)
+    if expected is None:
+        with pytest.raises(ValueError, match="norm bound"):
+            select_pool(v, v_star, mode, eta, loss)
+        return
+    sel = select_pool(v, v_star, mode, eta, loss)
+    assert (sel.index, sel.gamma) == expected
+    np.testing.assert_array_equal(sel.x, expected[1] * pool_x[expected[0]])
+
+
 def test_synthesis_square_loss_hits_closed_form():
     # free synthesis with square loss can zero the distance in one step:
     # x = gamma (v - v*) with eta gamma^2 ||v - v*||^2 = 1
