@@ -27,10 +27,10 @@ from .feature_space import (FeatureMap, SpanMetric, SpectralStats,
                             apply_map, as_vector, conjugate_apply,
                             project_span, random_map, span_inner, span_norm,
                             spectral_stats)
-from .learners import (FEEDBACKS, LOSSES, ForgettingConfig, LearnerState,
-                       SaturationError, feedback_invert, feedback_value,
-                       forgetting_step, loss_grad, loss_value, respond,
-                       sgd_step, training_objective)
+from .learners import (FEEDBACKS, LOSSES, LearnerState, SaturationError,
+                       feedback_invert, feedback_value, forgetting_step,
+                       loss_grad, loss_value, respond, sgd_step,
+                       training_objective)
 from .rng import derive_seed, substream
 from .teachers import (ActiveTeacher, DegenerateDirectionError,
                        ETCheckReport, LazyTeacher, OmniscientTeacher,

@@ -15,12 +15,14 @@ import shlex
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import ConfigError, apply_master_seed, load_config, write_manifest
+from .config import (SCENARIO_KINDS, ConfigError, apply_master_seed,
+                     load_config, write_manifest)
 from .exam import RankDeficientError
-from .experiments import (TraceFormatError, TrainingError, _build_data,
-                          exponential_fit, read_trace, run_experiment,
-                          run_forgetting_scenario, run_multi_teacher,
-                          samples_to_threshold, write_tabular, write_trace)
+from .experiments import (TEACHER_KINDS, TraceFormatError, TrainingError,
+                          _build_data, exponential_fit, read_trace,
+                          run_experiment, run_forgetting_scenario,
+                          run_multi_teacher, samples_to_threshold,
+                          write_tabular, write_trace)
 from .learners import SaturationError
 from .svgchart import write_chart
 
@@ -225,13 +227,11 @@ def _build_parser():
     p.add_argument("--seeds", help="inclusive master seed range A..B; "
                    "writes per-seed subdirectories (TEACHSIM_THREADS caps "
                    "the process fan-out)")
-    p.add_argument("--scenario", choices=("standard", "forgetting",
-                                          "multi-teacher"),
+    p.add_argument("--scenario", choices=SCENARIO_KINDS,
                    help="scenario override")
     p.add_argument("--sigma-forget", type=float, dest="sigma_forget",
                    help="forgetting noise scale override")
-    p.add_argument("--teacher", choices=("random", "omniscient", "lazy",
-                                         "active"),
+    p.add_argument("--teacher", choices=TEACHER_KINDS,
                    help="teacher kind override")
     p.set_defaults(func=_cmd_run)
 

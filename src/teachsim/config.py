@@ -22,8 +22,9 @@ import os
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .experiments import ExperimentConfig
+from .experiments import TEACHER_KINDS, ExperimentConfig
 from .feature_space import random_map, spectral_stats
+from .learners import FEEDBACKS, LOSSES
 from .rng import (KEY_DATA, KEY_FORGET, KEY_INIT, KEY_MAP, KEY_QUERIES,
                   derive_seed)
 
@@ -153,21 +154,18 @@ _SCHEMA = {
         "seed": _Key("config", "map_seed", _seed, seed_label=KEY_MAP),
     },
     "learner": {
-        "loss": _Key("config", "loss",
-                     _choice("square", "logistic", "hinge")),
-        "feedback": _Key("config", "feedback",
-                         _choice("identity", "sigmoid", "sign",
-                                 "hinge_value")),
+        "loss": _Key("config", "loss", _choice(*LOSSES)),
+        "feedback": _Key("config", "feedback", _choice(*FEEDBACKS)),
         "eta": _Key("config", "eta",
                     _words({"auto": "auto"}, _at_least(0, _float))),
-        "sigma_forget": _Key("config", "sigma_forget", _float),
+        "sigma_forget": _Key("config", "sigma_forget",
+                             _at_least(0, _float)),
         "noise_seed": _Key("config", "noise_seed", _seed,
                            seed_label=KEY_FORGET),
         "w0_seed": _Key("config", "w0_seed", _seed, seed_label=KEY_INIT),
     },
     "teacher": {
-        "kind": _Key("config", "teacher",
-                     _choice("random", "omniscient", "lazy", "active")),
+        "kind": _Key("config", "teacher", _choice(*TEACHER_KINDS)),
         "exam_period": _Key("config", "exam_period",
                             _words({"auto": "auto", "none": None},
                                    _at_least(1, _int))),
@@ -203,8 +201,9 @@ _SCHEMA = {
     },
     "scenario": {
         "kind": _Key("scenario", "kind", _choice(*SCENARIO_KINDS)),
-        "sigma_forget": _Key("scenario", "sigma_forget", _float),
-        "n_teachers": _Key("scenario", "n_teachers", _int),
+        "sigma_forget": _Key("scenario", "sigma_forget",
+                             _at_least(0, _float)),
+        "n_teachers": _Key("scenario", "n_teachers", _at_least(1, _int)),
         "switch_points": _Key("scenario", "switch_points",
                               _words({"": ()}, _list(_int))),
     },

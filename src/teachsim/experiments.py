@@ -3,8 +3,9 @@
 A run wires the pieces together: generate or ingest a dataset, train the
 target v* the teacher steers toward, build the feature map and the
 student, then iterate teacher steps while recording an evaluation trace.
-The harness is omniscient for metric purposes (it computes ||G^T w - v*||
-directly) even when the teacher being driven is not.
+The harness is omniscient for metric purposes only (it computes
+||G^T w - v*|| directly for the trace); when to stop is each teacher's
+own decision, taken on what that teacher knows.
 """
 
 import csv
@@ -16,7 +17,7 @@ import numpy as np
 from .exam import RecoveryConfig, RemoteLearner
 from .feature_space import (FeatureMap, conjugate_apply, random_map,
                             spectral_stats)
-from .learners import ForgettingConfig, LearnerState, _sigmoid, loss_value
+from .learners import LearnerState, _sigmoid, loss_value
 from .rng import (KEY_DATA, KEY_INIT, KEY_SELECT, KEY_SPLIT, derive_seed,
                   substream)
 from .teachers import (ActiveTeacher, LazyTeacher, OmniscientTeacher,
@@ -416,7 +417,7 @@ def _initial_learner(config, fmap):
                         seed=config.noise_seed)
 
 
-def _make_teacher(kind, config, v_star, mode, spectral=None):
+def _make_teacher(kind, config, v_star, mode, spectral):
     if kind == "random":
         seed = derive_seed(config.run_seed, KEY_SELECT,
                            _TEACHER_STREAM[kind])
@@ -467,12 +468,9 @@ class _Evaluator:
                         teaching_samples=remote.teaching_samples,
                         query_samples=remote.query_samples)
 
-    def distance(self, remote):
-        v_t = conjugate_apply(remote.fmap, remote.state.w)
-        return float(np.linalg.norm(v_t - self.v_star))
-
 
 def _prepare(config):
+    """(v_star, fmap, mode, evaluator, spectrum of the map) of a run."""
     features, labels = _build_data(config)
     classification = (config.source is None
                       and config.dataset.task == "classification") or (
@@ -485,28 +483,25 @@ def _prepare(config):
     mode = _build_mode(config, train_x, train_y)
     evaluator = _Evaluator(v_star, train_x, train_y, test_x, test_y,
                            config.loss, classification)
-    return v_star, fmap, mode, evaluator
+    return v_star, fmap, mode, evaluator, spectral_stats(fmap)
 
 
-def _run_loop(config, teacher, remote, evaluator, iterations=None,
-              switch_at=None):
+def _run_loop(config, teacher, remote, evaluator, switch_at=None):
     """Shared teaching loop: metrics row at t=0, then per-period rows.
 
+    The loop ends when the budget is spent or the teacher declines to
+    step (a step returning None); the harness never stops a run itself.
     switch_at maps iteration index -> replacement teacher (used by the
     multi-teacher runner); each incoming teacher is primed so its
     background exam cost lands on the ledger at the handoff.
     """
-    total = config.iterations if iterations is None else iterations
     rows = [evaluator.row(0, remote)]
     completed = 0
-    for t in range(1, total + 1):
+    for t in range(1, config.iterations + 1):
         if switch_at and (t - 1) in switch_at:
             teacher = switch_at[t - 1]
             teacher.prime(remote)
-        if evaluator.distance(remote) <= config.stop_tol:
-            break
-        sel = teacher.step(remote)
-        if sel is None:
+        if teacher.step(remote) is None:
             break
         completed = t
         if t % config.metrics_period == 0:
@@ -518,10 +513,7 @@ def _run_loop(config, teacher, remote, evaluator, iterations=None,
 
 def run_experiment(config):
     """Run one teaching experiment and return its evaluation trace."""
-    v_star, fmap, mode, evaluator = _prepare(config)
-    spectral = None
-    if config.teacher in ("active", "lazy") or config.lam > 0:
-        spectral = spectral_stats(fmap)
+    v_star, fmap, mode, evaluator, spectral = _prepare(config)
     learner = _initial_learner(config, fmap)
     remote = RemoteLearner(learner, fmap)
     teacher = _make_teacher(config.teacher, config, v_star, mode, spectral)
@@ -541,16 +533,12 @@ def run_forgetting_scenario(config, sigma_forget):
     if config.map_kind != "identity":
         raise ValueError("forgetting scenario requires the shared-space "
                          "setting (map_kind identity)")
-    if isinstance(sigma_forget, ForgettingConfig):
-        sigma, noise_seed = sigma_forget.sigma, sigma_forget.seed
-    else:
-        sigma, noise_seed = float(sigma_forget), config.noise_seed
+    sigma = float(sigma_forget)
     if sigma < 0:
         raise ValueError(f"sigma_forget must be >= 0, got {sigma}")
-    base = replace(config, sigma_forget=sigma, noise_seed=noise_seed,
+    base = replace(config, sigma_forget=sigma,
                    recovery=replace(config.recovery, standard_queries=True))
-    v_star, fmap, mode, evaluator = _prepare(base)
-    spectral = spectral_stats(fmap)
+    v_star, fmap, mode, evaluator, spectral = _prepare(base)
     traces = {}
     for kind in TEACHER_KINDS:
         cfg = replace(base, teacher=kind,
@@ -582,8 +570,7 @@ def run_multi_teacher(config, n_teachers, switch_points):
     if any(b <= a for a, b in zip(points, points[1:])):
         raise ValueError("switch points must be strictly increasing")
     cfg = replace(config, teacher="active")
-    v_star, fmap, mode, evaluator = _prepare(cfg)
-    spectral = spectral_stats(fmap)
+    v_star, fmap, mode, evaluator, spectral = _prepare(cfg)
     learner = _initial_learner(cfg, fmap)
     remote = RemoteLearner(learner, fmap)
     teachers = [_make_teacher("active", cfg, v_star, mode, spectral)

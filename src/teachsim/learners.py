@@ -121,17 +121,6 @@ def feedback_invert(kind, r):
 
 
 @dataclass(frozen=True)
-class ForgettingConfig:
-    """Per-step Gaussian parameter noise, seeded for reproducibility."""
-    sigma: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
 class LearnerState:
     """Immutable snapshot of a student; steps return new states."""
     w: np.ndarray

@@ -114,7 +114,6 @@ class VirtualLearner:
     """Teacher-side estimate of G^T w with its certified error."""
     v: np.ndarray
     est_error: float
-    stale: bool = False
 
     def __post_init__(self):
         v = np.array(self.v, dtype=np.float64)
@@ -174,15 +173,7 @@ def et_condition_check(gamma, beta, eta, spectral, lam=0.0):
                          satisfied=bool(0.0 < gb < upper))
 
 
-def _attach_et(sel, v, eta, loss, spectral, lam):
-    if spectral is None:
-        return sel
-    beta = loss_grad(loss, float(np.asarray(v) @ sel.x), sel.y)
-    report = et_condition_check(sel.gamma, beta, eta, spectral, lam)
-    return replace(sel, et=report)
-
-
-def select_pool(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
+def select_pool(v, v_star, mode, eta, loss):
     """Exact argmin of the one-step objective over pool x gamma grid.
 
     Candidates whose rescaled norm violates the mode's norm bound are
@@ -237,11 +228,10 @@ def select_pool(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
     gamma = float(grid[gi])
     x_sel = gamma * x_pool[idx]
     y_sel = float(y_pool[idx])
-    sel = SelectedExample(
+    return SelectedExample(
         x=x_sel, y=y_sel, gamma=gamma,
         objective=omniscient_objective(v, v_star, eta, loss, x_sel, y_sel),
         index=idx)
-    return _attach_et(sel, v, eta, loss, spectral, lam)
 
 
 def _line_values(gamma, a, c, n, eta, loss):
@@ -323,7 +313,7 @@ def _synthesis_search(v, v_star, direction, norm_bound, eta, loss):
         objective=omniscient_objective(v, v_star, eta, loss, x_sel, label))
 
 
-def select_synthesis(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
+def select_synthesis(v, v_star, mode, eta, loss):
     """Best synthesized example gamma * (v - v*) within the norm ball.
 
     The label for the square loss is the target's own prediction
@@ -337,11 +327,11 @@ def select_synthesis(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
             f"select_synthesis needs a synthesis mode, got {mode.tag!r}")
     v = np.asarray(v, dtype=np.float64)
     v_star = np.asarray(v_star, dtype=np.float64)
-    sel = _synthesis_search(v, v_star, v - v_star, mode.norm_bound, eta, loss)
-    return _attach_et(sel, v, eta, loss, spectral, lam)
+    return _synthesis_search(v, v_star, v - v_star, mode.norm_bound, eta,
+                             loss)
 
 
-def select_combination(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
+def select_combination(v, v_star, mode, eta, loss):
     """Synthesis search restricted to the candidate span.
 
     The search direction is the projection of (v - v*) onto span(D); a
@@ -371,18 +361,17 @@ def select_combination(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
                 "virtual learner matches the target to 1e-12")
         raise DegenerateDirectionError(
             "teaching direction has no component in the candidate span")
-    sel = _synthesis_search(v, v_star, direction, mode.norm_bound, eta, loss)
-    return _attach_et(sel, v, eta, loss, spectral, lam)
+    return _synthesis_search(v, v_star, direction, mode.norm_bound, eta, loss)
 
 
-def select_example(v, v_star, mode, eta, loss, spectral=None, lam=0.0):
+def select_example(v, v_star, mode, eta, loss):
     """Dispatch selection on the teaching mode."""
     if mode.tag in ("pool", "rescalable_pool"):
-        return select_pool(v, v_star, mode, eta, loss, spectral, lam)
+        return select_pool(v, v_star, mode, eta, loss)
     if mode.tag == "synthesis":
-        return select_synthesis(v, v_star, mode, eta, loss, spectral, lam)
+        return select_synthesis(v, v_star, mode, eta, loss)
     if mode.tag == "combination":
-        return select_combination(v, v_star, mode, eta, loss, spectral, lam)
+        return select_combination(v, v_star, mode, eta, loss)
     raise ValueError(f"unknown teaching mode {mode.tag!r}")
 
 
@@ -437,11 +426,16 @@ class RandomTeacher:
         return sel
 
 
-class OmniscientTeacher:
-    """White-box teacher: reads the student weights and map directly."""
+class _GreedyTeacher:
+    """State and teaching step shared by the greedy teachers.
 
-    def __init__(self, v_star, mode, eta, loss, stop_tol=0.0,
-                 spectral=None, lam=0.0):
+    The step works on the teacher's own estimate v of G^T w, so stopping
+    and the step-size (ET) window check never use more than the teacher
+    knows.
+    """
+
+    def __init__(self, v_star, mode, eta, loss, stop_tol=0.0, spectral=None,
+                 lam=0.0):
         self.v_star = np.asarray(v_star, dtype=np.float64)
         self.mode = mode
         self.eta = eta
@@ -450,28 +444,46 @@ class OmniscientTeacher:
         self.spectral = spectral
         self.lam = lam
 
-    def step(self, remote):
-        w = remote.observe_parameters()
-        v = conjugate_apply(remote.fmap, w)
+    def _greedy_step(self, v, remote):
+        """Select against v and teach; returns (selection, beta), or None
+        once v is within stop_tol of the target or on it.
+
+        beta is the loss derivative the student applies to the selection
+        if v is its true image; the ET report is attached when the map's
+        spectrum is known.
+        """
         if float(np.linalg.norm(v - self.v_star)) <= self.stop_tol:
             return None
         try:
             sel = select_example(v, self.v_star, self.mode, self.eta,
-                                 self.loss, self.spectral, self.lam)
+                                 self.loss)
         except TeachingComplete:
             return None
+        beta = loss_grad(self.loss, float(v @ sel.x), sel.y)
+        if self.spectral is not None:
+            sel = replace(sel, et=et_condition_check(
+                sel.gamma, beta, self.eta, self.spectral, self.lam))
         remote.teach(sel.x, sel.y)
-        return sel
+        return sel, beta
 
 
-class ActiveTeacher:
+class OmniscientTeacher(_GreedyTeacher):
+    """White-box teacher: reads the student weights and map directly."""
+
+    def step(self, remote):
+        v = conjugate_apply(remote.fmap, remote.observe_parameters())
+        taught = self._greedy_step(v, remote)
+        return None if taught is None else taught[0]
+
+
+class ActiveTeacher(_GreedyTeacher):
     """Black-box teacher driven by feedback exams.
 
     Maintains a virtual learner v ~= G^T w.  exam_period None means one
     background exam on first contact and deterministic propagation ever
     after (sound when the map is conjugate-orthogonal, where the initial
     estimation error is provably never amplified); an integer period
-    re-examines every that-many iterations.  "auto" resolves to None for
+    re-examines every that-many iterations.  "auto" means None for
     unitary maps and 1 otherwise.  With sign feedback and adaptive_eps,
     each exam's target error shrinks with the remaining distance so that
     estimation noise never dominates the contraction budget.
@@ -480,15 +492,9 @@ class ActiveTeacher:
     def __init__(self, v_star, mode, eta, loss, recovery=None,
                  exam_period="auto", stop_tol=0.0, spectral=None, lam=0.0,
                  adaptive_eps=False):
-        self.v_star = np.asarray(v_star, dtype=np.float64)
-        self.mode = mode
-        self.eta = eta
-        self.loss = loss
+        super().__init__(v_star, mode, eta, loss, stop_tol, spectral, lam)
         self.recovery = recovery if recovery is not None else RecoveryConfig()
         self.exam_period = exam_period
-        self.stop_tol = stop_tol
-        self.spectral = spectral
-        self.lam = lam
         self.adaptive_eps = adaptive_eps
         self.virtual = None
         self._t = 0
@@ -501,22 +507,16 @@ class ActiveTeacher:
         handoff itself pays the exam cost, even if the teacher then
         teaches for zero iterations.
         """
-        self._resolve_period(remote)
         self._examine(remote)
 
-    def _exam_due(self):
-        if self._last_exam_t == self._t:
-            return False
+    def _exam_due(self, remote):
         if self._last_exam_t is None:
             return True
         period = self.exam_period
-        if period in (None, "auto"):
-            return False
-        return self._t % period == 0
-
-    def _resolve_period(self, remote):
-        if self.exam_period == "auto":
-            self.exam_period = None if remote.unitary_map else 1
+        if period == "auto":
+            period = None if remote.unitary_map else 1
+        return (period is not None and self._last_exam_t != self._t
+                and self._t % period == 0)
 
     def _examine(self, remote):
         cfg = self.recovery
@@ -530,27 +530,20 @@ class ActiveTeacher:
                 eps = max(max(self.lam, 1e-3) * ratio * dist, 1e-12)
             cfg = replace(cfg, known_norm=norm, eps_est=eps)
         result = construct_virtual_learner(remote, cfg)
-        self.virtual = VirtualLearner(
-            v=result.v_hat, est_error=result.est_error(), stale=False)
+        self.virtual = VirtualLearner(v=result.v_hat,
+                                      est_error=result.est_error())
         self._last_exam_t = self._t
 
     def step(self, remote):
-        self._resolve_period(remote)
-        if self._exam_due():
+        if self._exam_due(remote):
             self._examine(remote)
         v = self.virtual.v
-        if float(np.linalg.norm(v - self.v_star)) <= self.stop_tol:
+        taught = self._greedy_step(v, remote)
+        if taught is None:
             return None
-        try:
-            sel = select_example(v, self.v_star, self.mode, self.eta,
-                                 self.loss, self.spectral, self.lam)
-        except TeachingComplete:
-            return None
-        remote.teach(sel.x, sel.y)
-        beta = loss_grad(self.loss, float(v @ sel.x), sel.y)
-        self.virtual = VirtualLearner(
-            v=v - self.eta * beta * sel.x,
-            est_error=self.virtual.est_error, stale=True)
+        sel, beta = taught
+        self.virtual = VirtualLearner(v=v - self.eta * beta * sel.x,
+                                      est_error=self.virtual.est_error)
         self._t += 1
         return sel
 

@@ -97,6 +97,14 @@ def test_domain_validation_surfaces_as_config_error(tmp_path):
         load_config(_write(tmp_path, "[learner]\neta = -0.1\n"))
     with pytest.raises(ConfigError, match="exam_period"):
         load_config(_write(tmp_path, "[teacher]\nexam_period = 0\n"))
+    for text, key in (("[scenario]\nsigma_forget = -0.5\n",
+                       "scenario.sigma_forget: must be >= 0"),
+                      ("[learner]\nsigma_forget = -0.5\n",
+                       "learner.sigma_forget: must be >= 0"),
+                      ("[scenario]\nn_teachers = 0\n",
+                       "scenario.n_teachers: must be >= 1")):
+        with pytest.raises(ConfigError, match=key):
+            load_config(_write(tmp_path, text))
 
 
 def test_exam_period_forms(tmp_path):
@@ -214,6 +222,7 @@ def test_manifest_with_retired_keys_reruns_identically(tmp_path):
 
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
+_non_negative = st.floats(min_value=0.0, allow_infinity=False)
 _seeds = st.integers(0, 2 ** 64 - 1)
 _counts = st.integers(1, 10 ** 6)
 
@@ -242,7 +251,7 @@ def _configs(draw):
         feedback=draw(st.sampled_from(("identity", "sigmoid", "sign",
                                        "hinge_value"))),
         eta=draw(st.floats(min_value=0.0, allow_infinity=False)),
-        sigma_forget=draw(_floats), noise_seed=draw(_seeds),
+        sigma_forget=draw(_non_negative), noise_seed=draw(_seeds),
         w0_seed=draw(_seeds),
         teacher=draw(st.sampled_from(("random", "omniscient", "lazy",
                                       "active"))),
@@ -262,7 +271,7 @@ def _configs(draw):
     scenario = ScenarioSpec(
         kind=draw(st.sampled_from(("standard", "forgetting",
                                    "multi-teacher"))),
-        sigma_forget=draw(_floats), n_teachers=draw(st.integers(-5, 50)),
+        sigma_forget=draw(_non_negative), n_teachers=draw(st.integers(1, 50)),
         switch_points=draw(st.lists(st.integers(-5, 10 ** 6), max_size=4)))
     return config, scenario
 

@@ -221,6 +221,19 @@ def test_run_experiment_stops_at_tolerance():
     assert rows[-1].param_dist <= 1e-4
 
 
+def test_random_teacher_runs_its_whole_budget():
+    # stopping is each teacher's own rule: the random baseline has none,
+    # so the harness runs it to the end even inside the stop ball, while
+    # the omniscient teacher stops there at once
+    random_rows = run_experiment(_quick_config(teacher="random",
+                                               stop_tol=1e6, iterations=25))
+    assert random_rows[0].param_dist < 1e6
+    assert random_rows[-1].iteration == 25
+    assert random_rows[-1].teaching_samples == 25
+    omniscient_rows = run_experiment(_quick_config(stop_tol=1e6))
+    assert omniscient_rows[-1].iteration == 0
+
+
 def test_run_experiment_regression_has_no_accuracy():
     spec = DatasetSpec(task="regression", d=5, n=60, seed=4)
     rows = run_experiment(_quick_config(dataset=spec))
@@ -244,6 +257,8 @@ def test_forgetting_scenario_rejects_cross_space():
     cfg = _quick_config(map_kind="general")
     with pytest.raises(ValueError, match="shared-space"):
         run_forgetting_scenario(cfg, 0.1)
+    with pytest.raises(ValueError, match="sigma_forget must be >= 0"):
+        run_forgetting_scenario(_quick_config(), -0.1)
 
 
 def test_forgetting_scenario_noise_hurts_open_loop_teachers():

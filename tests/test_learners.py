@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from teachsim.feature_space import FeatureMap
-from teachsim.learners import (ForgettingConfig, LearnerState,
-                               SaturationError, _sigmoid, feedback_invert,
-                               feedback_value, forgetting_step, loss_grad,
-                               loss_value, respond, sgd_step,
-                               training_objective)
+from teachsim.learners import (LearnerState, SaturationError, _sigmoid,
+                               feedback_invert, feedback_value,
+                               forgetting_step, loss_grad, loss_value,
+                               respond, sgd_step, training_objective)
 
 
 def test_loss_values_frozen_scalars():
@@ -164,11 +163,6 @@ def test_forgetting_noise_keyed_by_step_not_history():
     a2 = forgetting_step(a1, xa, 0.0)
     noise_a2 = a2.w - sgd_step(a1, xa, 0.0).w
     assert not np.allclose(noise_a, noise_a2)
-
-
-def test_forgetting_config_validation():
-    with pytest.raises(ValueError, match="sigma"):
-        ForgettingConfig(sigma=-0.1, seed=0)
 
 
 def test_training_objective_mean_loss():

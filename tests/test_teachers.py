@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from teachsim.exam import RecoveryConfig, RemoteLearner
-from teachsim.feature_space import (SpanMetric, project_span, random_map,
+from teachsim.feature_space import (SpanMetric, conjugate_apply,
+                                    project_span, random_map,
                                     spectral_stats)
 from teachsim.learners import LearnerState, loss_grad
 from teachsim.teachers import (ActiveTeacher, DegenerateDirectionError,
@@ -63,7 +64,8 @@ def _brute_force_pool(v, v_star, mode, eta, loss):
 
 def test_select_pool_matches_brute_force():
     gen = np.random.default_rng(1)
-    for trial in range(40):
+    inadmissible = 0
+    for trial in range(48):
         d = int(gen.integers(2, 8))
         n = int(gen.integers(3, 30))
         loss = ("square", "logistic", "hinge")[trial % 3]
@@ -72,6 +74,11 @@ def test_select_pool_matches_brute_force():
                   else gen.standard_normal(n))
         rescale = trial % 2 == 0
         bound = float(gen.uniform(0.5, 3.0)) if trial % 4 == 0 else None
+        if trial >= 40:
+            # half the smallest rescaled norm: no candidate is admissible
+            gammas = default_gamma_grid() if rescale else np.ones(1)
+            bound = 0.5 * float(np.min(np.abs(gammas))
+                                * np.min(np.linalg.norm(pool_x, axis=1)))
         if rescale:
             mode = TeachingMode.rescalable_pool(pool_x, pool_y,
                                                 norm_bound=bound)
@@ -82,8 +89,10 @@ def test_select_pool_matches_brute_force():
         eta = float(gen.uniform(1e-3, 0.3))
         expected = _brute_force_pool(v, v_star, mode, eta, loss)
         if expected is None:
-            with pytest.raises(ValueError, match="admissible"):
+            with pytest.raises(ValueError, match="no pool candidate "
+                               "satisfies the norm bound"):
                 select_pool(v, v_star, mode, eta, loss)
+            inadmissible += 1
             continue
         sel = select_pool(v, v_star, mode, eta, loss)
         assert sel.index == expected[0]
@@ -92,6 +101,7 @@ def test_select_pool_matches_brute_force():
                                    atol=1e-10)
         np.testing.assert_allclose(sel.x, expected[1]
                                    * mode.pool_x[expected[0]], rtol=1e-12)
+    assert inadmissible == 8
 
 
 def test_select_pool_tie_breaks_to_lowest_index():
@@ -550,6 +560,61 @@ def test_lazy_teacher_never_reexamines():
     for _ in range(12):
         teacher.step(rem)
     assert rem.query_samples == d
+
+
+def test_auto_exam_period_stays_auto_and_follows_the_map():
+    gen = np.random.default_rng(13)
+    d = 4
+    for kind, queries_per_step in (("general", d), ("unitary", 0)):
+        fmap = random_map(d, kind, 2)
+        stats = spectral_stats(fmap)
+        mode = TeachingMode.rescalable_pool(gen.standard_normal((20, d)),
+                                            gen.standard_normal(20))
+        st = LearnerState(w=gen.standard_normal(d),
+                          eta=0.01 / stats.sigma_max, loss="square",
+                          feedback="identity")
+        rem = RemoteLearner(st, fmap)
+        teacher = ActiveTeacher(gen.standard_normal(d), mode, eta=st.eta,
+                                loss="square", exam_period="auto")
+        for n in range(1, 6):
+            assert teacher.step(rem) is not None
+            assert teacher.exam_period == "auto"
+            assert rem.query_samples == d + (n - 1) * queries_per_step
+
+
+def test_selection_et_report_is_taken_at_the_teachers_estimate():
+    gen = np.random.default_rng(14)
+    d, eta, loss = 4, 0.05, "logistic"
+    fmap = random_map(d, "general", 6)
+    stats = spectral_stats(fmap)
+    mode = TeachingMode.rescalable_pool(
+        gen.standard_normal((20, d)), gen.choice([-1.0, 1.0], size=20))
+    v_star = gen.standard_normal(d)
+    w0 = gen.standard_normal(d)
+    omniscient = OmniscientTeacher(v_star, mode, eta, loss, spectral=stats)
+    # one exam, then open-loop updates: on a general map the estimate
+    # drifts away from the student's true image G^T w
+    active = ActiveTeacher(v_star, mode, eta, loss, exam_period=None,
+                           spectral=stats)
+    for teacher in (omniscient, active):
+        rem = RemoteLearner(LearnerState(w=w0, eta=eta, loss=loss,
+                                         feedback="identity"), fmap)
+        if teacher is active:
+            teacher.prime(rem)
+        for _ in range(6):
+            v = (active.virtual.v if teacher is active
+                 else conjugate_apply(fmap, rem.state.w))
+            sel = teacher.step(rem)
+            beta = loss_grad(loss, float(v @ sel.x), sel.y)
+            assert sel.et == et_condition_check(sel.gamma, beta, eta, stats)
+            assert sel.et.gamma_beta == sel.gamma * beta
+            if teacher is active:
+                np.testing.assert_array_equal(active.virtual.v,
+                                              v - eta * beta * sel.x)
+    true_v = conjugate_apply(fmap, rem.state.w)
+    assert float(np.linalg.norm(active.virtual.v - true_v)) > 1e-6
+    plain = OmniscientTeacher(v_star, mode, eta, loss)
+    assert plain.step(rem).et is None
 
 
 def test_select_example_dispatch():
