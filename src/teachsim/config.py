@@ -170,7 +170,7 @@ _SCHEMA = {
                             _words({"auto": "auto", "none": None},
                                    _at_least(1, _int))),
         "stop_tol": _Key("config", "stop_tol", _float),
-        "lam": _Key("config", "lam", _float),
+        "lam": _Key("config", "lam", _at_least(0, _float)),
         "adaptive_eps": _Key("config", "adaptive_eps", _bool),
     },
     "mode": {
@@ -205,7 +205,7 @@ _SCHEMA = {
                              _at_least(0, _float)),
         "n_teachers": _Key("scenario", "n_teachers", _at_least(1, _int)),
         "switch_points": _Key("scenario", "switch_points",
-                              _words({"": ()}, _list(_int))),
+                              _words({"": ()}, _list(_at_least(0, _int)))),
     },
 }
 

@@ -361,95 +361,91 @@ def approx_recover_sign(sign_oracle, d, config):
         raise ValueError(f"d must be >= 1, got {d}")
     norm = config.known_norm
     rho = config.contraction_rho
-    counter = {"n": 0}
-
-    def ask(q):
-        counter["n"] += 1
-        return 1.0 if sign_oracle(q) >= 0 else -1.0
 
     if d == 1:
-        s = ask(np.ones(1))
-        v_hat = np.array([s * norm])
-        return ExamResult(v_hat=v_hat, queries_used=counter["n"],
+        s = 1.0 if sign_oracle(np.ones(1)) >= 0 else -1.0
+        return ExamResult(v_hat=np.array([s * norm]), queries_used=1,
                           kind="approx_sign", angle_bound=0.0,
-                          known_norm=norm,
-                          alpha_history=(np.array([s]),))
+                          known_norm=norm, alpha_history=(np.array([s]),))
 
-    eye = np.eye(d)
-    signs = np.array([ask(eye[i]) for i in range(d)])
+    signs = np.array([1.0 if sign_oracle(e) >= 0 else -1.0
+                      for e in np.eye(d)])
     alpha0 = signs / math.sqrt(d)
     taus = _tangent_frame(alpha0)
+    # tau_j as a contiguous row: the probe for coordinate j reads one row
+    rows = np.ascontiguousarray(taus.T)
 
     m = d - 1
     bound = math.sqrt(d - 1)
-    lo = np.full(m, -bound)
-    hi = np.full(m, bound)
-    pinned = np.zeros(m, dtype=bool)
+    lo = [-bound] * m
+    hi = [bound] * m
+    pinned = [False] * m
 
-    def probe(j, t):
-        return ask(taus[:, j] - t * alpha0)
-
-    # The contraction guarantee is anchored at the chart origin, so the
-    # recorded initial estimate must be alpha0 itself.
-    history = [alpha0.copy()]
-
-    # Zero-pinning pass: exact alignments resolve immediately.
+    # Zero-pinning pass: exact alignments resolve immediately.  A probe
+    # tau_j - t * alpha0 answers >= 0 exactly when p_j >= t.
     for j in range(m):
-        below = probe(j, _PIN_OFFSET)
-        above = probe(j, -_PIN_OFFSET)
-        if below < 0 and above > 0:
+        below = sign_oracle(rows[j] - _PIN_OFFSET * alpha0) >= 0
+        above = sign_oracle(rows[j] + _PIN_OFFSET * alpha0) >= 0
+        if not below and above:
             lo[j] = -_PIN_OFFSET
             hi[j] = _PIN_OFFSET
             pinned[j] = True
-        elif below > 0:
+        elif below:
             lo[j] = _PIN_OFFSET
         else:
             hi[j] = -_PIN_OFFSET
+    queries = d + 2 * m
 
-    def chart_state():
-        center = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        err = float(np.linalg.norm(half))
-        return center, err
-
-    def alpha_from(center):
-        a = alpha0 + taus @ center
-        return a / np.linalg.norm(a)
-
-    center, err = chart_state()
+    # Chart state, kept current one coordinate at a time: a bisection of
+    # coordinate j moves entry j only.  Pinned coordinates have width
+    # -inf, so width.argmax() is the widest free bracket.
+    lo_a, hi_a = np.array(lo), np.array(hi)
+    half = 0.5 * (hi_a - lo_a)
+    center = 0.5 * (lo_a + hi_a)
+    width = np.where(pinned, -np.inf, hi_a - lo_a)
+    # ||half|| and ||center|| as np.linalg.norm computes them for a
+    # vector, sqrt(x . x), so every bit matches
+    err = math.sqrt(half.dot(half))
     angle_bound = err
 
-    if bool(np.all(pinned)):
+    # The contraction guarantee is anchored at the chart origin, so the
+    # recorded initial estimate must be alpha0 itself.
+    history = [alpha0]
+    if all(pinned):
         # True direction equals the initial estimate: done in 0 rounds.
-        v_hat = norm * history[0]
-        return ExamResult(v_hat=v_hat, queries_used=counter["n"],
+        return ExamResult(v_hat=norm * alpha0, queries_used=queries,
                           kind="approx_sign", angle_bound=angle_bound,
                           known_norm=norm, alpha_history=tuple(history))
 
     for k in range(1, config.max_rounds + 1):
         # Shrink brackets until the certified sine bound contracts by
         # rho^k relative to the certified chart norm.
-        budget = 64 * m
-        while budget > 0:
-            center, err = chart_state()
-            lower = max(0.0, float(np.linalg.norm(center)) - err)
-            if err <= 1e-15 or (lower > 0 and err <= rho ** k * lower):
+        contraction = rho ** k
+        for _ in range(64 * m):
+            if err <= 1e-15:
                 break
-            j = int(np.argmax(np.where(pinned, -np.inf, hi - lo)))
+            lower = math.sqrt(center.dot(center)) - err
+            if lower > 0 and err <= contraction * lower:
+                break
+            j = int(width.argmax())
             mid = 0.5 * (lo[j] + hi[j])
-            if probe(j, mid) > 0:
+            if sign_oracle(rows[j] - mid * alpha0) >= 0:
                 lo[j] = mid
             else:
                 hi[j] = mid
-            budget -= 1
-        center, err = chart_state()
-        history.append(alpha_from(center))
+            queries += 1
+            gap = hi[j] - lo[j]
+            width[j] = gap
+            half[j] = 0.5 * gap
+            center[j] = 0.5 * (lo[j] + hi[j])
+            err = math.sqrt(half.dot(half))
+        estimate = alpha0 + taus @ center
+        history.append(estimate / np.linalg.norm(estimate))
         angle_bound = err
         if norm * 2.0 * err <= config.eps_est or err <= 1e-15:
             break
 
-    v_hat = norm * history[-1]
-    return ExamResult(v_hat=v_hat, queries_used=counter["n"],
+    return ExamResult(v_hat=norm * history[-1], queries_used=queries,
                       kind="approx_sign", angle_bound=angle_bound,
                       known_norm=norm, alpha_history=tuple(history))
 

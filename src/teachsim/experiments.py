@@ -487,7 +487,8 @@ def _prepare(config):
 
 
 def _run_loop(config, teacher, remote, evaluator, switch_at=None):
-    """Shared teaching loop: metrics row at t=0, then per-period rows.
+    """Shared teaching loop: metrics row at t=0, per-period rows, and a
+    closing row at the last completed iteration.
 
     The loop ends when the budget is spent or the teacher declines to
     step (a step returning None); the harness never stops a run itself.
@@ -506,8 +507,12 @@ def _run_loop(config, teacher, remote, evaluator, switch_at=None):
         completed = t
         if t % config.metrics_period == 0:
             rows.append(evaluator.row(t, remote))
-    if rows[-1].iteration != completed:
-        rows.append(evaluator.row(completed, remote))
+    # The closing row is taken after the loop, so it also counts the exam
+    # of a step the teacher then declined.  A declined step leaves the
+    # student as it was, so the row replaces the one of its iteration.
+    if rows[-1].iteration == completed:
+        rows.pop()
+    rows.append(evaluator.row(completed, remote))
     return rows
 
 

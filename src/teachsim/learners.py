@@ -35,6 +35,8 @@ def _check_feedback(kind):
 
 
 def _check_labels(loss, y):
+    """Check the loss kind and, for margin losses, the +-1 labels."""
+    _check_loss(loss)
     if loss in ("logistic", "hinge"):
         y_arr = np.asarray(y)
         if not np.all(np.abs(y_arr) == 1):
@@ -52,7 +54,6 @@ def _sigmoid(t):
 
 def loss_value(loss, z, y):
     """Pointwise loss at scalar prediction z and label y (broadcasts)."""
-    _check_loss(loss)
     _check_labels(loss, y)
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -70,8 +71,16 @@ def loss_grad(loss, z, y):
 
     The hinge derivative at the kink y*z == 1 is taken as 0.
     """
-    _check_loss(loss)
     _check_labels(loss, y)
+    return _loss_grad_kernel(loss, z, y)
+
+
+def _loss_grad_kernel(loss, z, y):
+    """loss_grad for a loss and labels that _check_labels has passed.
+
+    A caller that evaluates many predictions against the same labels
+    checks them once and calls this directly.
+    """
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if loss == "square":
@@ -84,8 +93,17 @@ def loss_grad(loss, z, y):
 
 
 def feedback_value(kind, z):
-    """Apply the feedback function F to a scalar prediction (broadcasts)."""
+    """Apply the feedback function F to a scalar prediction (broadcasts).
+
+    A Python float on the identity or sign channel skips the 0-d arrays:
+    the same IEEE operation gives the same bits, and every exam query
+    lands here.
+    """
     _check_feedback(kind)
+    if type(z) is float and kind in ("identity", "sign"):
+        if kind == "identity":
+            return z + 0.0
+        return 1.0 if z >= 0 else -1.0
     z = np.asarray(z, dtype=np.float64)
     if kind == "identity":
         out = z + 0.0

@@ -20,7 +20,7 @@ import numpy as np
 
 from .exam import RecoveryConfig, construct_virtual_learner
 from .feature_space import SpanMetric, conjugate_apply, project_span
-from .learners import loss_grad
+from .learners import _check_labels, _loss_grad_kernel, loss_grad
 from .rng import KEY_SELECT, KEY_VOLUME, substream
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -195,6 +195,8 @@ def select_pool(v, v_star, mode, eta, loss):
     v = np.asarray(v, dtype=np.float64)
     v_star = np.asarray(v_star, dtype=np.float64)
     x_pool, y_pool = mode.pool_x, mode.pool_y
+    # the pool labels are checked here once, not once per block
+    _check_labels(loss, y_pool)
     base_z = x_pool @ v
     base_diff = x_pool @ (v - v_star)
     norms_sq = mode.pool_norms_sq
@@ -206,7 +208,7 @@ def select_pool(v, v_star, mode, eta, loss):
     row_idx = np.empty(len(grid), dtype=np.intp)
     for start in range(0, len(grid), step):
         g_col = grid[start:start + step, None]
-        beta = loss_grad(loss, g_col * base_z, y_pool)
+        beta = _loss_grad_kernel(loss, g_col * base_z, y_pool)
         obj = (eta * eta * beta * beta * (g_col * g_col) * norms_sq
                - 2.0 * eta * beta * g_col * base_diff)
         if mode.norm_bound is not None:

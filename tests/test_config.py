@@ -102,7 +102,12 @@ def test_domain_validation_surfaces_as_config_error(tmp_path):
                       ("[learner]\nsigma_forget = -0.5\n",
                        "learner.sigma_forget: must be >= 0"),
                       ("[scenario]\nn_teachers = 0\n",
-                       "scenario.n_teachers: must be >= 1")):
+                       "scenario.n_teachers: must be >= 1"),
+                      ("[teacher]\nlam = -0.5\n",
+                       "teacher.lam: must be >= 0"),
+                      ("[scenario]\nkind = multi-teacher\n"
+                       "n_teachers = 2\nswitch_points = -1\n",
+                       "scenario.switch_points: must be >= 0")):
         with pytest.raises(ConfigError, match=key):
             load_config(_write(tmp_path, text))
 
@@ -263,7 +268,7 @@ def _configs(draw):
         gamma_grid=draw(st.none() | st.lists(_floats, min_size=1,
                                              max_size=4).map(tuple)),
         recovery=recovery, adaptive_eps=draw(st.booleans()),
-        lam=draw(_floats), ridge=draw(_floats),
+        lam=draw(_non_negative), ridge=draw(_floats),
         iterations=draw(st.integers(0, 10 ** 6)),
         metrics_period=draw(_counts),
         test_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),
@@ -272,7 +277,7 @@ def _configs(draw):
         kind=draw(st.sampled_from(("standard", "forgetting",
                                    "multi-teacher"))),
         sigma_forget=draw(_non_negative), n_teachers=draw(st.integers(1, 50)),
-        switch_points=draw(st.lists(st.integers(-5, 10 ** 6), max_size=4)))
+        switch_points=draw(st.lists(st.integers(0, 10 ** 6), max_size=4)))
     return config, scenario
 
 

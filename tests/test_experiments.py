@@ -273,6 +273,23 @@ def test_forgetting_scenario_noise_hurts_open_loop_teachers():
                                rtol=0.5)
 
 
+def test_declined_steps_exam_lands_on_the_last_row():
+    # the active teacher re-examines at iteration 14, finds itself within
+    # stop_tol and declines; the trace must count that exam whether or
+    # not the metrics period already wrote a row at iteration 13
+    spec = DatasetSpec(task="regression", d=5, n=50, seed=105)
+    ends = []
+    for period in (1, 5):
+        cfg = _quick_config(dataset=spec, eta=0.05, w0_seed=5, noise_seed=5,
+                            mode_kind="rescalable_pool", stop_tol=1e-3,
+                            metrics_period=period)
+        rows = run_forgetting_scenario(cfg, 0.0)["active"]
+        iters = [r.iteration for r in rows]
+        assert iters == sorted(set(iters))
+        ends.append((rows[-1].iteration, rows[-1].query_samples))
+    assert ends[0] == ends[1] == (13, 70)
+
+
 def test_multi_teacher_matches_single_when_alone():
     cfg = _quick_config(iterations=25)
     relay = run_multi_teacher(cfg, 1, [])

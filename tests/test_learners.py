@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from teachsim.feature_space import FeatureMap
-from teachsim.learners import (LearnerState, SaturationError, _sigmoid,
-                               feedback_invert, feedback_value,
+from teachsim.learners import (FEEDBACKS, LearnerState, SaturationError,
+                               _sigmoid, feedback_invert, feedback_value,
                                forgetting_step, loss_grad, loss_value,
                                respond, sgd_step, training_objective)
 
@@ -43,6 +43,22 @@ def test_sigmoid_matches_two_branch_formula_bit_for_bit():
     for x, ref in zip(t[:len(specials)], two_branch):
         assert np.float64(_sigmoid(x)).view(np.uint64) == \
             np.float64(ref).view(np.uint64)
+
+
+def test_feedback_value_float_path_matches_array_path_bit_for_bit():
+    # a Python float takes a scalar path on some channels; every channel
+    # must give the bits of the array path, as a Python float
+    specials = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, np.inf,
+                -np.inf, np.nan]
+    gen = np.random.default_rng(6)
+    z = np.concatenate([specials, gen.standard_normal(2000),
+                        gen.standard_normal(2000) * 1e3])
+    for kind in FEEDBACKS:
+        via_array = feedback_value(kind, z)
+        for x, ref in zip(z.tolist(), via_array):
+            got = feedback_value(kind, x)
+            assert type(got) is float
+            assert np.float64(got).view(np.uint64) == ref.view(np.uint64)
 
 
 def test_loss_grad_matches_finite_differences():
