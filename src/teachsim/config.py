@@ -18,6 +18,7 @@ manifests that carry them still load.
 
 import configparser
 import csv
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -70,7 +71,14 @@ def _number(convert, expected):
 
 
 _int = _number(int, "an integer")
-_float = _number(float, "a number")
+
+
+def _float(raw):
+    # nan and inf parse as floats but mean nothing as any key's value
+    value = _number(float, "a number")(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _bool(raw):
@@ -95,6 +103,13 @@ def _at_least(low, parse):
             raise ValueError(f"must be >= {low}, got {value}")
         return value
     return parse_bounded
+
+
+def _positive(raw):
+    value = _float(raw)
+    if value <= 0:
+        raise ValueError(f"must be > 0, got {value}")
+    return value
 
 
 _seed = _at_least(0, _int)
@@ -178,7 +193,7 @@ _SCHEMA = {
                      _choice("pool", "rescalable_pool", "synthesis",
                              "combination")),
         "norm_bound": _Key("config", "norm_bound",
-                           _words({"none": None}, _float)),
+                           _words({"none": None}, _positive)),
         "gamma_grid": _Key("config", "gamma_grid",
                            _words({"auto": None}, _list(_float)), _fmt_grid),
     },
@@ -191,7 +206,7 @@ _SCHEMA = {
         "standard_queries": _Key("recovery", "standard_queries", _bool),
     },
     "train": {
-        "ridge": _Key("config", "ridge", _float),
+        "ridge": _Key("config", "ridge", _positive),
     },
     "run": {
         "iterations": _Key("config", "iterations", _int),

@@ -27,8 +27,17 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SYNTH_GRID_POINTS = 2001
 _GOLDEN_WIDTH = 1e-10
 _LABELS = np.array([[-1.0], [1.0]])
-# Objective values per block of select_pool's sweep (~100 KB of doubles).
-_POOL_BLOCK_ELEMENTS = 12288
+# Objective values per column block of select_pool's scan (~40 KB).
+_POOL_BLOCK_ELEMENTS = 5000
+# Relative margin on select_pool's floors, far above the rounding error
+# of any computed score (see select_pool).
+_FLOOR_MARGIN = 1e-12
+# select_pool prunes only while its overflow bound stays below this.
+_GUARD_LIMIT = 1e300
+# max over u > 0 of u / (1 + e^u), which is W(1/e) for Lambert's W: the
+# largest eta-free step |gamma beta| |z| a logistic candidate can take
+# against the sign of its prediction z
+_LOGISTIC_STEP = 0.2784645427610738
 
 
 class TeachingComplete(Exception):
@@ -43,6 +52,15 @@ def default_gamma_grid():
     """41 log-spaced magnitudes in [1e-2, 1e2], both signs."""
     mags = np.logspace(-2.0, 2.0, 41)
     return np.concatenate([-mags[::-1], mags])
+
+
+def _positive(norm_bound, optional=False):
+    """norm_bound as a float, refusing zero, negatives and NaN."""
+    if optional and norm_bound is None:
+        return None
+    if not norm_bound > 0:
+        raise ValueError(f"norm_bound must be > 0, got {norm_bound}")
+    return float(norm_bound)
 
 
 @dataclass(frozen=True)
@@ -65,25 +83,23 @@ class TeachingMode:
 
     @classmethod
     def synthesis(cls, norm_bound):
-        if norm_bound <= 0:
-            raise ValueError(f"norm_bound must be > 0, got {norm_bound}")
-        return cls(tag="synthesis", norm_bound=float(norm_bound))
+        return cls(tag="synthesis", norm_bound=_positive(norm_bound))
 
     @classmethod
     def combination(cls, candidates, norm_bound):
-        if norm_bound <= 0:
-            raise ValueError(f"norm_bound must be > 0, got {norm_bound}")
+        norm_bound = _positive(norm_bound)
         d_mat = np.asarray(candidates, dtype=np.float64)
         if d_mat.ndim != 2:
             raise ValueError("candidates must be a (d, k) matrix of columns")
-        return cls(tag="combination", norm_bound=float(norm_bound),
+        return cls(tag="combination", norm_bound=norm_bound,
                    span=SpanMetric(d_mat))
 
     @classmethod
     def pool(cls, pool_x, pool_y, norm_bound=None):
         x, y, norms = cls._check_pool(pool_x, pool_y)
         return cls(tag="pool", pool_x=x, pool_y=y,
-                   gamma_grid=np.array([1.0]), norm_bound=norm_bound,
+                   gamma_grid=np.array([1.0]),
+                   norm_bound=_positive(norm_bound, optional=True),
                    pool_norms_sq=norms)
 
     @classmethod
@@ -95,7 +111,8 @@ class TeachingMode:
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("gamma_grid must be a non-empty 1-D array")
         return cls(tag="rescalable_pool", pool_x=x, pool_y=y,
-                   gamma_grid=grid, norm_bound=norm_bound,
+                   gamma_grid=grid,
+                   norm_bound=_positive(norm_bound, optional=True),
                    pool_norms_sq=norms)
 
     @staticmethod
@@ -176,19 +193,45 @@ def et_condition_check(gamma, beta, eta, spectral, lam=0.0):
 def select_pool(v, v_star, mode, eta, loss):
     """Exact argmin of the one-step objective over pool x gamma grid.
 
-    Candidates whose rescaled norm violates the mode's norm bound are
-    skipped.  Ties break toward the lowest pool index, then the smallest
-    |gamma|, then the earlier grid row.
+    Candidates whose rescaled norm violates the mode's norm bound score
+    +inf.  Ties break toward the lowest pool index, then the smallest
+    |gamma|, then the earlier grid row.  A grid row is skipped whole when
+    any of its objectives is NaN or its least one is not finite (every
+    candidate masked, or a -inf).
 
-    The grid is swept in blocks of consecutive gamma rows of at most
-    ``_POOL_BLOCK_ELEMENTS`` objective values (one row when the pool alone
-    is larger).  A whole (grid, pool) sweep builds about fifteen
-    temporaries of grid x k doubles; at the default 82-point grid and
-    k = 1600 each is 1 MB, a size the allocator maps fresh from the kernel
-    on every call, so every page of every temporary page-faults.  Blocks
-    of ~100 KB are reused from the heap instead.  Each candidate's value
-    goes through the same elementwise operations in the same order either
-    way, so blocking changes no bit of any objective.
+    Floor.  With t = eta beta gamma, n = ||x||^2 and c = <v - v*, x> the
+    objective is t^2 n - 2 t c, a quadratic in t whose minimum -c^2 / n
+    bounds a candidate's score from below for every gamma, loss and beta.
+    _floor_depths tightens it with the largest step |t| the loss can take
+    in the sign of c.  A candidate whose floor lies above the best score
+    found so far can neither win nor tie.
+
+    Scan order.  The floors cost O(k) from the products x @ v and
+    x @ (v - v*) and the pool norms; one argsort ranks the candidates,
+    deepest floor first.  They are scored in column blocks of
+    ``_POOL_BLOCK_ELEMENTS // len(grid)`` candidates across the whole
+    grid, each block in pool-index order, and the scan stops before a
+    block whose first floor, the deepest left, lies above the best score
+    so far by the margin below.  Each grid row keeps its least (value,
+    index) over the blocks scored, and one lexsort on (value, index,
+    |gamma|) over the rows picks the winner: the tie rule over every
+    candidate scored.  A candidate's value goes through the same
+    elementwise operations in the same order as in a full sweep, so it is
+    the same bit for bit.
+
+    Margin.  A computed score carries at most six roundings of relative
+    size 2^-53 in each term and one in their difference, and beta and the
+    floor a few more; completing the square on the perturbed terms keeps
+    every computed score above its computed floor to a relative 1e-14,
+    far inside ``_FLOOR_MARGIN``.  Underflow adds absolute errors of at
+    most 2^-1075 per operation, scaled by the factors that follow it,
+    which the absolute slack from _prune_slack covers.
+
+    Pruning needs eta > 0, finite inputs and an O(k) bound showing that
+    no partial product can overflow (_prune_slack).  Without them, and
+    for a pool that fits in two blocks (pruning could save one block at
+    most, about what ranking costs), the blocks are scored in index
+    order: the full sweep.
     """
     if mode.tag not in ("pool", "rescalable_pool"):
         raise ValueError(f"select_pool needs a pool mode, got {mode.tag!r}")
@@ -200,30 +243,61 @@ def select_pool(v, v_star, mode, eta, loss):
     base_z = x_pool @ v
     base_diff = x_pool @ (v - v_star)
     norms_sq = mode.pool_norms_sq
-    grid = mode.gamma_grid
     norms = np.sqrt(norms_sq)
-    step = max(1, _POOL_BLOCK_ELEMENTS // len(y_pool))
-    # per grid row: value and pool index of its first minimum
-    row_val = np.empty(len(grid))
-    row_idx = np.empty(len(grid), dtype=np.intp)
-    for start in range(0, len(grid), step):
-        g_col = grid[start:start + step, None]
-        beta = _loss_grad_kernel(loss, g_col * base_z, y_pool)
-        obj = (eta * eta * beta * beta * (g_col * g_col) * norms_sq
-               - 2.0 * eta * beta * g_col * base_diff)
+    grid = mode.gamma_grid
+    g_col = grid[:, None]
+    g_sq = g_col * g_col
+    k = len(y_pool)
+    width = max(1, _POOL_BLOCK_ELEMENTS // len(grid))
+    slack = None
+    if k <= 2 * width:
+        width = k
+    else:
+        slack = _prune_slack(eta, loss, grid, base_z, base_diff, norms_sq,
+                             y_pool)
+    if slack is None:
+        order = np.arange(k)
+    else:
+        depth = _floor_depths(eta, loss, grid, base_z, base_diff, norms_sq,
+                              y_pool)
+        order = np.argsort(-depth)
+    all_rows = np.arange(len(grid))
+    # per grid row: the least (value, pool index) over the blocks scored.
+    # argmin returns a row's first NaN and np.minimum keeps it, so a row
+    # with a NaN or -inf anywhere ends with a value that is not finite.
+    row_val = row_idx = None
+    for start in range(0, k, width):
+        cols = order[start:start + width]
+        if slack is not None:
+            if start and (depth[cols[0]] * (1.0 + _FLOOR_MARGIN) + slack
+                          < -row_val.min()):
+                break
+            cols = np.sort(cols)
+        beta = _loss_grad_kernel(loss, g_col * base_z[cols], y_pool[cols])
+        obj = (eta * eta * beta * beta * g_sq * norms_sq[cols]
+               - 2.0 * eta * beta * g_col * base_diff[cols])
         if mode.norm_bound is not None:
-            obj = np.where(np.abs(g_col) * norms <= mode.norm_bound,
+            obj = np.where(np.abs(g_col) * norms[cols] <= mode.norm_bound,
                            obj, np.inf)
-        idx = np.argmin(obj, axis=1)
-        row_idx[start:start + step] = idx
-        row_val[start:start + step] = obj[np.arange(len(idx)), idx]
-    # a row whose argmin is not finite (every candidate masked, or a NaN,
-    # which argmin returns first) is skipped; lexsort is stable, so a full
-    # tie on (value, index, |gamma|) keeps the earliest row
+        j = np.argmin(obj, axis=1)
+        val, idx = obj[all_rows, j], cols[j]
+        if start:
+            take = (val < row_val) | ((val == row_val) & (idx < row_idx))
+            row_idx = np.where(take, idx, row_idx)
+            row_val = np.minimum(row_val, val)
+        else:
+            row_val, row_idx = val, idx
+    # lexsort is stable, so a full tie on (value, index, |gamma|) keeps
+    # the earliest row
     rows = np.flatnonzero(np.isfinite(row_val))
     if rows.size == 0:
+        if mode.norm_bound is not None and not np.any(
+                np.abs(g_col) * norms <= mode.norm_bound):
+            raise ValueError(
+                "no pool candidate satisfies the norm bound; nothing to "
+                "teach")
         raise ValueError(
-            "no pool candidate satisfies the norm bound; nothing to teach")
+            "no pool candidate has a finite objective; nothing to teach")
     gi = rows[np.lexsort((np.abs(grid[rows]), row_idx[rows],
                           row_val[rows]))[0]]
     idx = int(row_idx[gi])
@@ -236,20 +310,81 @@ def select_pool(v, v_star, mode, eta, loss):
         index=idx)
 
 
+def _floor_depths(eta, loss, grid, base_z, base_diff, norms_sq, y_pool):
+    """Per candidate, how far below 0 its score can reach over the grid.
+
+    The score q(t) = t^2 n - 2 t c is negative only for steps t = eta
+    beta gamma with the sign s of c.  Let T bound |t| over such steps;
+    q falls on [0, |c| / n], so no score lies below q(tau) with
+    tau = min(T, |c| / n), which is -c^2 / n when the vertex is in reach.
+    With z = <v, x>, y the label and G the largest |gamma|, a step of sign
+    s has (see the loss derivatives in learners):
+
+    - logistic: |t| = eta |gamma| sigmoid(s |gamma| z), at most eta G, and
+      when s z < 0 at most eta W / |z| with W = max_u u / (1 + e^u);
+    - hinge: |t| = eta |gamma| while -s |gamma| z < 1, so eta G, or
+      eta / |z| when s z < 0;
+    - square: t = eta (gamma^2 z - gamma y), so |t| <= eta (G^2 |z| +
+      G |y|), and s t <= eta y^2 / (4 |z|) when s z < 0.
+
+    Returns -q(tau) >= 0; inf where it is undefined, so that candidate is
+    always scored.
+    """
+    g = float(np.abs(grid).max())
+    c = np.abs(base_diff)
+    z = np.abs(base_z)
+    against = base_diff * base_z < 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if loss == "square":
+            reach = np.where(against, y_pool * y_pool / (4.0 * z),
+                             g * g * z + g * np.abs(y_pool))
+        else:
+            top = _LOGISTIC_STEP if loss == "logistic" else 1.0
+            reach = np.where(against, np.minimum(g, top / z), g)
+        tau = np.fmin(eta * reach, c / norms_sq)
+        depth = tau * (2.0 * c - tau * norms_sq)
+    depth[np.isnan(depth)] = np.inf
+    return depth
+
+
+def _prune_slack(eta, loss, grid, base_z, base_diff, norms_sq, y_pool):
+    """Absolute slack of select_pool's floor test, or None to score all.
+
+    With every factor replaced by max(1, its largest magnitude), the
+    products A = eta^2 beta^2 gamma^2 n and B = 2 eta beta gamma c bound
+    every partial product of either objective term (|beta| <= 1 for the
+    margin losses, |gamma z| + |y| for the square loss).  None when eta
+    is not positive (the floors assume a positive step), an input is not
+    finite or A + B could overflow; otherwise (A + B) 2^-1060 exceeds the
+    underflow error any score or floor can carry.
+    """
+    tops = [eta, np.abs(grid).max(), np.abs(base_z).max(),
+            np.abs(base_diff).max(), norms_sq.max(), np.abs(y_pool).max()]
+    if not (eta > 0 and np.all(np.isfinite(tops))):
+        return None
+    e, g, z, c, n, y = (max(1.0, float(top)) for top in tops)
+    beta = g * z + y if loss == "square" else 1.0
+    total = e * e * beta * beta * g * g * n + 2.0 * e * beta * g * c
+    return math.ldexp(total, -1060) if total < _GUARD_LIMIT else None
+
+
 def _line_values(gamma, a, c, n, eta, loss):
     """One-step objective at x = gamma * u for the labels -1 and +1.
 
     With a = <v, u>, c = <v - v*, u> and n = ||u||^2 the prediction is
     gamma * a and the objective eta^2 beta^2 gamma^2 n - 2 eta beta gamma
     c, so no d-vector is needed.  gamma broadcasts; row 0 holds label -1.
+    The caller has checked loss against _LABELS with _check_labels.
     """
-    beta = loss_grad(loss, gamma * a, _LABELS)
+    beta = _loss_grad_kernel(loss, gamma * a, _LABELS)
     return (eta * eta * beta * beta * (gamma * gamma * n)
             - 2.0 * eta * beta * (gamma * c))
 
 
 def _classification_line_search(a, c, n, g_max, eta, loss):
     """Grid scan plus golden-section refinement; returns (gamma, label)."""
+    # the loss is checked here once, not at every point of the search
+    _check_labels(loss, _LABELS)
     grid = np.linspace(-g_max, g_max, _SYNTH_GRID_POINTS)
     vals = np.min(_line_values(grid, a, c, n, eta, loss), axis=0)
     i = int(np.argmin(vals))

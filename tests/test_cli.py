@@ -133,6 +133,19 @@ def test_exit_code_config_errors(tmp_path, capsys):
     bad.write_text("[dataset]\nbogus = 1\n")
     assert main(["run", "--config", str(bad),
                  "--out", str(tmp_path / "o")]) == 2
+    # these once loaded, then failed mid-run blaming the norm bound (or
+    # ran on a NaN gamma); now they stop at load and name their key
+    for text, key in (("[learner]\neta = nan\n", "learner.eta"),
+                      ("[mode]\nnorm_bound = -1\n", "mode.norm_bound"),
+                      ("[mode]\nnorm_bound = nan\n", "mode.norm_bound"),
+                      ("[mode]\nkind = rescalable_pool\n"
+                       "gamma_grid = nan,1.0\n", "mode.gamma_grid")):
+        capsys.readouterr()
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error[config]: {key}: ")
+        assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_bad_seed_range(cfg_path, tmp_path, capsys):

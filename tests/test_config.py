@@ -107,7 +107,21 @@ def test_domain_validation_surfaces_as_config_error(tmp_path):
                        "teacher.lam: must be >= 0"),
                       ("[scenario]\nkind = multi-teacher\n"
                        "n_teachers = 2\nswitch_points = -1\n",
-                       "scenario.switch_points: must be >= 0")):
+                       "scenario.switch_points: must be >= 0"),
+                      ("[learner]\neta = nan\n",
+                       "learner.eta: expected a finite number"),
+                      ("[learner]\neta = inf\n",
+                       "learner.eta: expected a finite number"),
+                      ("[mode]\nnorm_bound = -1\n",
+                       "mode.norm_bound: must be > 0"),
+                      ("[mode]\nnorm_bound = 0\n",
+                       "mode.norm_bound: must be > 0"),
+                      ("[mode]\nnorm_bound = nan\n",
+                       "mode.norm_bound: expected a finite number"),
+                      ("[mode]\ngamma_grid = nan,1.0\n",
+                       "mode.gamma_grid: expected a finite number"),
+                      ("[train]\nridge = -1\n",
+                       "train.ridge: must be > 0")):
         with pytest.raises(ConfigError, match=key):
             load_config(_write(tmp_path, text))
 
@@ -228,6 +242,7 @@ def test_manifest_with_retired_keys_reruns_identically(tmp_path):
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
 _non_negative = st.floats(min_value=0.0, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _seeds = st.integers(0, 2 ** 64 - 1)
 _counts = st.integers(1, 10 ** 6)
 
@@ -264,11 +279,11 @@ def _configs(draw):
         stop_tol=draw(_floats),
         mode_kind=draw(st.sampled_from(("pool", "rescalable_pool",
                                         "synthesis", "combination"))),
-        norm_bound=draw(st.none() | _floats),
+        norm_bound=draw(st.none() | _positive),
         gamma_grid=draw(st.none() | st.lists(_floats, min_size=1,
                                              max_size=4).map(tuple)),
         recovery=recovery, adaptive_eps=draw(st.booleans()),
-        lam=draw(_non_negative), ridge=draw(_floats),
+        lam=draw(_non_negative), ridge=draw(_positive),
         iterations=draw(st.integers(0, 10 ** 6)),
         metrics_period=draw(_counts),
         test_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),

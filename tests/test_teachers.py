@@ -400,6 +400,30 @@ def test_mode_validation():
         TeachingMode.synthesis(norm_bound=-1.0)
     with pytest.raises(ValueError):
         TeachingMode.pool(np.ones((3, 2)), np.ones(4))  # length mismatch
+    for bound in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="norm_bound must be > 0"):
+            TeachingMode.pool(np.ones((3, 2)), np.ones(3), norm_bound=bound)
+        with pytest.raises(ValueError, match="norm_bound must be > 0"):
+            TeachingMode.rescalable_pool(np.ones((3, 2)), np.ones(3),
+                                         norm_bound=bound)
+    assert TeachingMode.pool(np.ones((3, 2)), np.ones(3),
+                             norm_bound=2).norm_bound == 2.0
+
+
+def test_select_pool_error_names_the_cause():
+    # a NaN eta makes every objective NaN: with no bound set, or with one
+    # every candidate meets, the error must not blame the norm bound
+    pool_x = np.array([[1.0, 0.0], [0.0, 2.0]])
+    pool_y = np.array([1.0, -1.0])
+    v, v_star = np.array([1.0, 1.0]), np.zeros(2)
+    for bound in (None, 1e3):
+        mode = TeachingMode.rescalable_pool(pool_x, pool_y, norm_bound=bound)
+        with pytest.raises(ValueError, match="finite objective") as info:
+            select_pool(v, v_star, mode, float("nan"), "logistic")
+        assert "norm bound" not in str(info.value)
+    mode = TeachingMode.rescalable_pool(pool_x, pool_y, norm_bound=1e-3)
+    with pytest.raises(ValueError, match="satisfies the norm bound"):
+        select_pool(v, v_star, mode, 0.1, "logistic")
 
 
 def test_random_select_uniform_over_pool():
