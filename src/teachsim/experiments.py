@@ -208,57 +208,6 @@ def ingest_tabular(path, label_column="label"):
             np.array(labels, dtype=np.float64), feature_names)
 
 
-def random_project(features, out_dim, seed, kind="gaussian"):
-    """Project rows into out_dim dimensions; returns (view, projection).
-
-    kind "identity" requires out_dim == input dimension and returns the
-    data unchanged (with an identity projection matrix).
-    """
-    features = np.asarray(features, dtype=np.float64)
-    raw_dim = features.shape[1]
-    if kind == "identity":
-        if out_dim != raw_dim:
-            raise ValueError(
-                f"identity projection needs out_dim == {raw_dim}, got "
-                f"{out_dim}")
-        proj = np.eye(raw_dim)
-    elif kind == "gaussian":
-        gen = substream(seed, KEY_DATA)
-        proj = gen.standard_normal((out_dim, raw_dim)) / math.sqrt(out_dim)
-    else:
-        raise ValueError(f"unknown projection kind {kind!r}")
-    return features @ proj.T, proj
-
-
-def fit_feature_map(teacher_view, student_view):
-    """Least-squares linear map from teacher rows to student rows.
-
-    Returns (FeatureMap, max-abs residual).  A residual above 1e-6 means
-    no exact linear map links the two views and downstream teaching is
-    only approximate.
-    """
-    teacher_view = np.asarray(teacher_view, dtype=np.float64)
-    student_view = np.asarray(student_view, dtype=np.float64)
-    if teacher_view.shape[0] != student_view.shape[0]:
-        raise ValueError("views must have the same number of rows")
-    g_t, *_ = np.linalg.lstsq(teacher_view, student_view, rcond=None)
-    residual = float(np.max(np.abs(teacher_view @ g_t - student_view)))
-    return FeatureMap(g_t.T), residual
-
-
-def project_two_views(features, out_dim, seed_teacher, seed_student,
-                      kind="gaussian"):
-    """Teacher/student views of one dataset plus the fitted map.
-
-    Returns (teacher_view, student_view, fmap, residual).  Equal seeds
-    give identical views (and an identity-like fitted map).
-    """
-    teacher_view, _ = random_project(features, out_dim, seed_teacher, kind)
-    student_view, _ = random_project(features, out_dim, seed_student, kind)
-    fmap, residual = fit_feature_map(teacher_view, student_view)
-    return teacher_view, student_view, fmap, residual
-
-
 def _train_square(features, labels, ridge):
     n = features.shape[0]
     gram = features.T @ features / n + ridge * np.eye(features.shape[1])
@@ -373,6 +322,10 @@ def _build_data(config):
 def _split(features, labels, fraction, seed):
     n = features.shape[0]
     n_test = int(round(fraction * n))
+    if n_test >= n:
+        raise ValueError(
+            f"run.test_fraction = {fraction} holds out {n_test} of {n} "
+            f"rows, leaving no training rows")
     order = substream(seed, KEY_SPLIT).permutation(n)
     test_idx, train_idx = order[:n_test], order[n_test:]
     return (features[train_idx], labels[train_idx],

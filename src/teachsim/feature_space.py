@@ -19,18 +19,6 @@ _RANK_CUTOFF = 1e-10
 _UNITARY_TOL = 1e-10
 
 
-def as_vector(x, dim=None):
-    """Validate and return a finite 1-D float64 vector."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector has non-finite entries")
-    if dim is not None and v.shape[0] != dim:
-        raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
-    return v
-
-
 class FeatureMap:
     """Invertible linear map from teacher space R^d to student space R^s.
 
@@ -188,7 +176,6 @@ class SpanMetric:
         inv = np.zeros_like(vals)
         inv[keep] = 1.0 / vals[keep]
         pinv = (vecs * inv) @ vecs.T
-        self.candidates = d_mat
         self.projector = d_mat @ pinv @ d_mat.T
         self.projector = 0.5 * (self.projector + self.projector.T)
         self.rank = int(np.count_nonzero(keep))
@@ -196,22 +183,6 @@ class SpanMetric:
 
     def __repr__(self):
         return f"SpanMetric(dim={self.dim}, rank={self.rank})"
-
-
-def span_inner(metric, v1, v2):
-    """Span-restricted inner product v1^T P v2."""
-    v1 = np.asarray(v1, dtype=np.float64)
-    v2 = np.asarray(v2, dtype=np.float64)
-    if v1.shape != (metric.dim,) or v2.shape != (metric.dim,):
-        raise ValueError(
-            f"span_inner expects vectors of dimension {metric.dim}")
-    return float(v1 @ metric.projector @ v2)
-
-
-def span_norm(metric, v):
-    """Norm of the projection of v onto the span."""
-    val = span_inner(metric, v, v)
-    return float(np.sqrt(max(val, 0.0)))
 
 
 def project_span(metric, v):

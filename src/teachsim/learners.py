@@ -203,16 +203,3 @@ def forgetting_step(learner, x_tilde, y):
     gen = substream(learner.seed, KEY_FORGET, learner.t)
     noise = gen.normal(0.0, learner.sigma_forget, size=learner.dim)
     return replace(stepped, w=stepped.w + noise)
-
-
-def training_objective(learner, features, labels):
-    """Mean loss of the learner over a student-space dataset."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != learner.dim:
-        raise ValueError(
-            f"features must be (n, {learner.dim}), got {features.shape}")
-    if labels.shape != (features.shape[0],):
-        raise ValueError("labels must match the number of feature rows")
-    z = features @ learner.w
-    return float(np.mean(loss_value(learner.loss, z, labels)))

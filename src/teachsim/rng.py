@@ -18,7 +18,6 @@ KEY_INIT = 0x05
 KEY_SELECT = 0x06
 KEY_SPLIT = 0x07
 KEY_PROBE = 0x08
-KEY_VOLUME = 0x09
 
 
 def substream(seed, *path):

@@ -21,7 +21,7 @@ import numpy as np
 from .exam import RecoveryConfig, construct_virtual_learner
 from .feature_space import SpanMetric, conjugate_apply, project_span
 from .learners import _check_labels, _loss_grad_kernel, loss_grad
-from .rng import KEY_SELECT, KEY_VOLUME, substream
+from .rng import KEY_SELECT, substream
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SYNTH_GRID_POINTS = 2001
@@ -520,32 +520,6 @@ def random_select(mode, gen):
     return SelectedExample(
         x=mode.pool_x[idx], y=float(mode.pool_y[idx]), gamma=1.0,
         objective=float("nan"), index=idx)
-
-
-def pool_volume(metric, pool_x, n_dirs, seed):
-    """Monte Carlo estimate of the teaching volume of a pool.
-
-    Samples unit directions w inside span(D) and returns the smallest
-    observed max_x <w, x>_D / ||w||_D^2.  Directions are drawn from one
-    sequential stream, so increasing n_dirs with the same seed only adds
-    directions and the estimate is monotone non-increasing.
-    """
-    if n_dirs < 1:
-        raise ValueError(f"n_dirs must be >= 1, got {n_dirs}")
-    pool_x = np.asarray(pool_x, dtype=np.float64)
-    gen = substream(seed, KEY_VOLUME)
-    worst = np.inf
-    produced = 0
-    while produced < n_dirs:
-        g = gen.standard_normal(metric.dim)
-        w = project_span(metric, g)
-        nrm = float(np.linalg.norm(w))
-        if nrm < 1e-12:
-            continue
-        w = w / nrm
-        worst = min(worst, float(np.max(pool_x @ w)))
-        produced += 1
-    return worst
 
 
 class RandomTeacher:

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,23 @@ def test_exit_code_runtime_errors(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error[runtime]:")
+
+
+@pytest.mark.parametrize("loss", ["hinge", "logistic"])
+def test_empty_training_split_is_refused_before_training(tmp_path, capsys,
+                                                         loss):
+    # round(0.99 * 40) = 40: every row is held out.  This once trained on
+    # zero rows and failed with a NaN duality gap or gradient norm.
+    cfg = tmp_path / "r.ini"
+    cfg.write_text(f"[dataset]\nd = 5\nn = 20\n\n[learner]\nloss = {loss}\n"
+                   "\n[run]\ntest_fraction = 0.99\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "error[runtime]: run.test_fraction = 0.99 holds out 40 of 40 rows, "
+        "leaving no training rows\n")
 
 
 def test_datagen_from_source_round_trips(tmp_path, capsys):

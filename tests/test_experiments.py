@@ -4,10 +4,10 @@ import pytest
 from teachsim.experiments import (DatasetSpec, ExperimentConfig, TraceRow,
                                   TraceFormatError, TrainingError,
                                   _train_hinge, _train_logistic,
-                                  exponential_fit, fit_feature_map,
+                                  exponential_fit,
                                   gen_classification_data,
                                   gen_regression_data, ingest_tabular,
-                                  random_project, read_trace,
+                                  read_trace,
                                   run_experiment, run_forgetting_scenario,
                                   run_multi_teacher, samples_to_threshold,
                                   train_optimal, write_tabular, write_trace)
@@ -79,43 +79,6 @@ def test_ingest_errors_name_row_and_column(tmp_path):
     path.write_text("")
     with pytest.raises(TraceFormatError, match="empty"):
         ingest_tabular(path)
-
-
-def test_random_project_shapes_and_identity():
-    gen = np.random.default_rng(5)
-    x = gen.standard_normal((30, 10))
-    view, proj = random_project(x, 4, seed=1)
-    assert view.shape == (30, 4) and proj.shape == (4, 10)
-    view2, _ = random_project(x, 4, seed=1)
-    np.testing.assert_array_equal(view, view2)
-    same, eye = random_project(x, 10, seed=0, kind="identity")
-    np.testing.assert_array_equal(same, x)
-    np.testing.assert_array_equal(eye, np.eye(10))
-    with pytest.raises(ValueError, match="out_dim"):
-        random_project(x, 4, seed=0, kind="identity")
-    with pytest.raises(ValueError, match="kind"):
-        random_project(x, 4, seed=0, kind="sparse")
-
-
-def test_fit_feature_map_recovers_exact_linear_relation():
-    gen = np.random.default_rng(6)
-    teacher_view = gen.standard_normal((50, 6))
-    true_map = gen.standard_normal((6, 6)) + 3 * np.eye(6)
-    student_view = teacher_view @ true_map.T
-    fmap, residual = fit_feature_map(teacher_view, student_view)
-    assert residual <= 1e-6
-    np.testing.assert_allclose(fmap.matrix, true_map, rtol=1e-8, atol=1e-8)
-
-
-def test_fit_feature_map_flags_inexact_views():
-    # two independent projections of high-dimensional data admit no exact
-    # linear relation; the residual must say so
-    gen = np.random.default_rng(7)
-    x = gen.standard_normal((60, 20))
-    a, _ = random_project(x, 5, seed=1)
-    b, _ = random_project(x, 5, seed=2)
-    _, residual = fit_feature_map(a, b)
-    assert residual > 1e-3
 
 
 def _train_objective(loss, x, y, ridge, v):

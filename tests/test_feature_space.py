@@ -2,20 +2,8 @@ import numpy as np
 import pytest
 
 from teachsim.feature_space import (FeatureMap, SpanMetric, apply_map,
-                                    as_vector, conjugate_apply, project_span,
-                                    random_map, span_inner, span_norm,
-                                    spectral_stats)
-
-
-def test_as_vector_accepts_lists_and_checks_dim():
-    v = as_vector([1.0, 2.0, 3.0])
-    assert v.dtype == np.float64 and v.shape == (3,)
-    with pytest.raises(ValueError, match="dimension 3"):
-        as_vector([1.0, 2.0], dim=3)
-    with pytest.raises(ValueError, match="1-D"):
-        as_vector([[1.0, 2.0]])
-    with pytest.raises(ValueError, match="finite"):
-        as_vector([1.0, np.nan])
+                                    conjugate_apply, project_span,
+                                    random_map, spectral_stats)
 
 
 def test_feature_map_rejects_singular_and_nonsquare():
@@ -120,19 +108,6 @@ def test_span_metric_rank_with_duplicate_columns():
     # columns: (1,0,1), (2,0,2), (1,0,1) span a single direction
     metric = SpanMetric(basis.T)
     assert metric.rank == 1
-
-
-def test_span_inner_and_norm_match_projected_vectors():
-    gen = np.random.default_rng(3)
-    basis = gen.standard_normal((6, 3))
-    metric = SpanMetric(basis)
-    u = gen.standard_normal(6)
-    v = gen.standard_normal(6)
-    pu, pv = project_span(metric, u), project_span(metric, v)
-    np.testing.assert_allclose(span_inner(metric, u, v), float(pu @ pv),
-                               rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(span_norm(metric, u), np.linalg.norm(pu),
-                               rtol=1e-10, atol=1e-12)
 
 
 def test_projection_is_idempotent_and_inside_span():

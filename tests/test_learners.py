@@ -7,7 +7,7 @@ from teachsim.feature_space import FeatureMap
 from teachsim.learners import (FEEDBACKS, LearnerState, SaturationError,
                                _sigmoid, feedback_invert, feedback_value,
                                forgetting_step, loss_grad, loss_value,
-                               respond, sgd_step, training_objective)
+                               respond, sgd_step)
 
 
 def test_loss_values_frozen_scalars():
@@ -179,15 +179,6 @@ def test_forgetting_noise_keyed_by_step_not_history():
     a2 = forgetting_step(a1, xa, 0.0)
     noise_a2 = a2.w - sgd_step(a1, xa, 0.0).w
     assert not np.allclose(noise_a, noise_a2)
-
-
-def test_training_objective_mean_loss():
-    st = LearnerState(w=np.array([1.0, 1.0]), eta=0.1, loss="square",
-                      feedback="identity")
-    x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    y = np.array([0.0, 2.0])
-    # predictions 1 and 1, losses 0.5 and 0.5
-    np.testing.assert_allclose(training_objective(st, x, y), 0.5)
 
 
 def test_respond_through_map_matches_manual():

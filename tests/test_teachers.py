@@ -15,7 +15,7 @@ from teachsim.teachers import (ActiveTeacher, DegenerateDirectionError,
                                LazyTeacher, OmniscientTeacher, RandomTeacher,
                                TeachingComplete, TeachingMode,
                                default_gamma_grid, et_condition_check,
-                               omniscient_objective, pool_volume,
+                               omniscient_objective,
                                random_select, select_combination,
                                select_example, select_pool,
                                select_synthesis)
@@ -438,27 +438,6 @@ def test_random_select_uniform_over_pool():
         assert sel.gamma == 1.0
         assert sel.y == pool_y[sel.index]
     assert counts.min() > 120  # roughly uniform
-
-
-def test_pool_volume_monotone_in_pool_growth():
-    gen = np.random.default_rng(5)
-    d = 4
-    metric = SpanMetric(np.eye(d))
-    small = gen.standard_normal((5, d))
-    extra = gen.standard_normal((15, d))
-    big = np.vstack([small, extra])
-    v_small = pool_volume(metric, small, n_dirs=300, seed=8)
-    v_big = pool_volume(metric, big, n_dirs=300, seed=8)
-    assert v_big >= v_small  # same probe directions, larger max
-
-
-def test_pool_volume_of_signed_basis():
-    # pool {+-e1, +-e2}: best alignment for direction u is max|u_i|,
-    # whose minimum over the circle is 1/sqrt(2)
-    pool = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    metric = SpanMetric(np.eye(2))
-    vol = pool_volume(metric, pool, n_dirs=4000, seed=0)
-    np.testing.assert_allclose(vol, 1.0 / np.sqrt(2.0), atol=0.01)
 
 
 def _pool_remote(w, eta=0.05, loss="square", feedback="identity", d=None):
