@@ -12,8 +12,6 @@ Run from the repo root:  python3 demos/01_teaching_modes.py
 
 import os
 
-import numpy as np
-
 import teachsim as ts
 from teachsim.svgchart import write_chart
 

@@ -13,7 +13,6 @@ import argparse
 import os
 import shlex
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import (SCENARIO_KINDS, ConfigError, apply_master_seed,
                      load_config, write_manifest)
@@ -141,6 +140,8 @@ def _cmd_run(args, command):
         if workers == 1:
             done = [_run_one_seed(job) for job in jobs]
         else:
+            # Imported here: report and plot never start a pool.
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 done = list(pool.map(_run_one_seed, jobs))
         for master, labels in done:

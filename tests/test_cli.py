@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,6 +8,8 @@ import pytest
 
 from teachsim.cli import main
 from teachsim.experiments import ingest_tabular, read_trace
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _SMALL = """[dataset]
 task = classification
@@ -201,3 +205,17 @@ def test_datagen_from_source_round_trips(tmp_path, capsys):
     x, y, _ = ingest_tabular(out)
     np.testing.assert_array_equal(x, [[0.5, 1.5], [-0.5, -1.5]])
     np.testing.assert_array_equal(y, [1.0, -1.0])
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    path = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))
+        if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, teachsim.cli; "
+         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+         "if m in sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=60, check=True)
+    assert proc.stdout == "[]\n"

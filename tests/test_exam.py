@@ -6,8 +6,8 @@ from teachsim.exam import (ExamResult, RankDeficientError, RecoveryConfig,
                            construct_virtual_learner, estimate_learning_rate,
                            exact_recover_bijective, exact_recover_hinge,
                            make_basis_queries, make_paired_queries)
-from teachsim.feature_space import FeatureMap, conjugate_apply, random_map
-from teachsim.learners import LearnerState, SaturationError, feedback_value
+from teachsim.feature_space import conjugate_apply, random_map
+from teachsim.learners import LearnerState, SaturationError
 
 
 def _remote(w, feedback, fmap, eta=1e-3, loss="square"):

@@ -129,7 +129,7 @@ def test_training_error_reports_achieved_value():
     spec = DatasetSpec(task="classification", d=6, n=100, seed=11)
     x, y = gen_classification_data(spec)
     with pytest.raises(TrainingError, match="duality gap"):
-        _train_hinge(x, y, ridge=5e-5, max_epochs=1)
+        _train_hinge(x, y, ridge=5e-5, max_iter=1)
     with pytest.raises(TrainingError, match="gradient norm"):
         _train_logistic(x, y, ridge=5e-5, max_iter=1)
 

@@ -112,3 +112,11 @@ def test_package_modules_have_no_unused_imports():
     assert paths
     found = {os.path.basename(p): _unused_imports(p) for p in paths}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_tests_and_demos_have_no_unused_imports():
+    paths = sorted(glob.glob(os.path.join(ROOT, "tests", "*.py"))
+                   + glob.glob(os.path.join(ROOT, "demos", "*.py")))
+    assert paths
+    found = {os.path.relpath(p, ROOT): _unused_imports(p) for p in paths}
+    assert {k: v for k, v in found.items() if v} == {}

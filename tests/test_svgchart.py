@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from teachsim.svgchart import render_line_chart, write_chart

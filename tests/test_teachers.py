@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from teachsim.exam import RecoveryConfig, RemoteLearner
+from teachsim.exam import RemoteLearner
 from teachsim.feature_space import (SpanMetric, conjugate_apply,
                                     project_span, random_map,
                                     spectral_stats)
