@@ -33,7 +33,8 @@ from .rng import (KEY_DATA, KEY_FORGET, KEY_INIT, KEY_MAP, KEY_QUERIES,
 _BOOKKEEPING = ("manifest", "artifacts")
 
 # Keys of older manifests that no field reads; loaded and ignored.
-_RETIRED = {("recovery", "delta"), ("recovery", "lam")}
+_RETIRED = {("recovery", "delta"), ("recovery", "lam"),
+            ("teacher", "adaptive_eps")}
 
 SCENARIO_KINDS = ("standard", "forgetting", "multi-teacher")
 
@@ -186,7 +187,6 @@ _SCHEMA = {
                                    _at_least(1, _int))),
         "stop_tol": _Key("config", "stop_tol", _float),
         "lam": _Key("config", "lam", _at_least(0, _float)),
-        "adaptive_eps": _Key("config", "adaptive_eps", _bool),
     },
     "mode": {
         "kind": _Key("config", "mode_kind",

@@ -17,7 +17,7 @@ All exams leave the student untouched; only teaching steps move w.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -189,10 +189,18 @@ class ExamResult:
         object.__setattr__(self, "v_hat", v)
 
     def est_error(self):
-        """Bound on ||v_hat - G^T w|| implied by this exam."""
+        """Bound on ||v_hat - G^T w|| implied by this exam.
+
+        For the sign branch E = angle_bound bounds both sin(angle) and
+        the chart distance ||p - center|| (see approx_recover_sign).  Once
+        E < 2 the chart distance keeps the angle acute, so the
+        unit-vector chord 2 sin(angle / 2) is at most sqrt(2) sin(angle)
+        <= sqrt(2) E; for E >= 1 the chord's own bound 2 is at most 2 E.
+        Either way norm * 2 E bounds ||v_hat - G^T w||.
+        """
         if self.residual is not None:
             return self.residual + self.inversion_error
-        return self.known_norm * self.angle_bound
+        return self.known_norm * 2.0 * self.angle_bound
 
 
 def make_basis_queries(d, seed, standard=False):
@@ -327,40 +335,39 @@ def _tangent_frame(alpha):
     return h[:, 1:]
 
 
-def approx_recover_sign(sign_oracle, d, config):
+def approx_recover_sign(sign_oracle, d, config, prior=None, radius=None):
     """Estimate v = G^T w from sign feedback plus its known norm.
 
     Sign responses expose only which side of each queried hyperplane the
-    direction u = v / ||v|| lies on.  The scheme works in the tangent chart
-    anchored at an initial estimate alpha_0:
+    direction u = v / ||v|| lies on.  The search works in the tangent
+    chart anchored at a unit vector alpha_0 with <u, alpha_0> > 0: with
+    tau_j the columns of _tangent_frame(alpha_0), u is a graph over the
+    tangent plane with chart coordinates p_j = <u, tau_j> / <u, alpha_0>,
+    and a probe tau_j - t * alpha_0 answers sign(p_j - t), so each chart
+    coordinate supports interval bisection.  For any such anchor
 
-    1. Query the d coordinate signs s_i = sign(u_i) and set
-       alpha_0 = s / sqrt(d).  Then <u, alpha_0> = ||u||_1 / sqrt(d)
-       >= 1 / sqrt(d) > 0, so u is a graph over the tangent plane at
-       alpha_0 with chart coordinates p_j = <u, tau_j> / <u, alpha_0>
-       bounded by sqrt(d-1) in norm.
-    2. A probe tau_j - t * alpha_0 answers sign(p_j - t), so each chart
-       coordinate supports interval bisection.  Probes at +-1e-13 first
-       pin coordinates that are exactly zero (an aligned start never
-       moves, and converges in zero rounds).
-    3. Round k bisects the per-coordinate brackets until the certified
-       chart error E_k = sqrt(sum of squared half-widths) satisfies
-       E_k <= rho^k * L_k, where L_k = max(0, ||center|| - E_k) is a
-       certified lower bound on ||p||.  Since sin(angle(estimate, u)) <=
-       ||p - center|| / sqrt(1 + ||p||^2) and sin(angle(alpha_0, u)) =
-       ||p|| / sqrt(1 + ||p||^2), that inequality is exactly the round-k
-       contraction guarantee sin_k <= rho^k * sin_0.
+        sin(angle(estimate, u)) <= ||p - center|| / sqrt(1 + ||p||^2),
 
-    Stops once norm * 2 * E_k <= eps_est (2 * E_k bounds the unit-vector
-    chord) or after max_rounds.  Reported angle_bound is the certified
-    sine bound E_k; queries_used counts every oracle call.
+    so E = sqrt(sum of squared bracket half-widths) certifies the
+    estimate alpha_0 + sum_j center_j tau_j.  Both searches stop once
+    norm * 2 * E <= eps_est (2 * E bounds the unit-vector chord, see
+    ExamResult.est_error) or E <= 1e-15, or when their probe budgets
+    run out.  The reported angle_bound is the final E; queries_used
+    counts every oracle call.
+
+    Without a prior the exam is cold (_cold_sign_search): it anchors at
+    the coordinate-sign vector.  A prior is the caller's own estimate of
+    v, with radius > 0 the expected size of its chart coordinates; the
+    exam is then warm (_warm_sign_search) and anchors at
+    prior / ||prior||.  When that anchor fails its checks the cold
+    search runs after all, and its result also counts the warm
+    attempt's queries.  d = 1 needs no chart: one query settles it.
     """
     if config.known_norm is None:
         raise ValueError("sign recovery requires known_norm")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     norm = config.known_norm
-    rho = config.contraction_rho
 
     if d == 1:
         s = 1.0 if sign_oracle(np.ones(1)) >= 0 else -1.0
@@ -368,6 +375,41 @@ def approx_recover_sign(sign_oracle, d, config):
                           kind="approx_sign", angle_bound=0.0,
                           known_norm=norm, alpha_history=(np.array([s]),))
 
+    spent = 0
+    if prior is not None:
+        if radius is None or not radius > 0:
+            raise ValueError(f"a prior needs a radius > 0, got {radius}")
+        result, spent = _warm_sign_search(sign_oracle, d, config, prior,
+                                          radius)
+        if result is not None:
+            return result
+    result = _cold_sign_search(sign_oracle, d, config)
+    if spent:
+        result = replace(result, queries_used=result.queries_used + spent)
+    return result
+
+
+def _cold_sign_search(sign_oracle, d, config):
+    """The sign search from nothing, for d >= 2.
+
+    1. Query the d coordinate signs s_i = sign(u_i) and set
+       alpha_0 = s / sqrt(d).  Then <u, alpha_0> = ||u||_1 / sqrt(d)
+       >= 1 / sqrt(d) > 0, so the chart coordinates are bounded by
+       sqrt(d-1) in norm.
+    2. Probes at +-1e-13 first pin coordinates that are exactly zero (an
+       aligned start never moves, and converges in zero rounds).
+    3. Round k bisects the per-coordinate brackets until the certified
+       chart error E_k satisfies E_k <= rho^k * L_k, where
+       L_k = max(0, ||center|| - E_k) is a certified lower bound on
+       ||p||.  Since sin(angle(alpha_0, u)) = ||p|| / sqrt(1 + ||p||^2),
+       that inequality is exactly the round-k contraction guarantee
+       sin_k <= rho^k * sin_0.
+
+    Runs at most max_rounds rounds; alpha_history holds alpha_0 and the
+    estimate after each round.
+    """
+    norm = config.known_norm
+    rho = config.contraction_rho
     signs = np.array([1.0 if sign_oracle(e) >= 0 else -1.0
                       for e in np.eye(d)])
     alpha0 = signs / math.sqrt(d)
@@ -450,12 +492,103 @@ def approx_recover_sign(sign_oracle, d, config):
                       known_norm=norm, alpha_history=tuple(history))
 
 
-def construct_virtual_learner(remote, config):
+def _warm_sign_search(sign_oracle, d, config, prior, radius):
+    """The sign search anchored at a prior, for d >= 2.
+
+    Returns (result, queries spent); result is None when the prior
+    cannot anchor the chart and the cold search must run.
+
+    1. Anchor check: one query at alpha_0 = prior / ||prior||.  An
+       answer < 0 puts u on the far side of the tangent plane.  A zero
+       or non-finite prior has no direction and spends nothing.
+    2. Galloping brackets (the exponential search of Bentley and Yao,
+       1976): a probe at t = 0 names the side of p_j, then probes at
+       t = r, 2r, 4r, ... on that side, with r = radius, answer
+       sign(p_j - t) until the answer flips, which brackets p_j.  A
+       coordinate beyond sqrt(d - 1), the cold chart's bound, ends the
+       attempt.  That cap also stops an orthogonal prior: the anchor
+       check answers it ">= 0", but <u, alpha_0> = 0 makes p unbounded
+       and every answer the same.
+    3. Bisect the widest bracket until the final test of the cold
+       search holds, within the cold loop's budget of 64 (d - 1) probes,
+       and stop early once the widest bracket is down to adjacent floats.
+
+    There are no rounds: the cold contraction rule is relative to ||p||,
+    which a good prior makes tiny, so it would bisect towards the 1e-15
+    floor.  For the same reason exact zero coordinates need no pinning
+    pass; their brackets halve like any other.  Every bracket is
+    certified by answers alone, so a poor prior costs queries but never
+    correctness.  alpha_history is (alpha_0, final estimate).
+    """
+    scale = float(np.linalg.norm(prior))
+    if not (math.isfinite(scale) and scale > 0):
+        return None, 0
+    norm = config.known_norm
+    alpha0 = np.asarray(prior, dtype=np.float64) / scale
+    if sign_oracle(alpha0) < 0:
+        return None, 1
+    taus = _tangent_frame(alpha0)
+    rows = np.ascontiguousarray(taus.T)
+    queries = 1
+
+    def above(j, t):
+        """Whether p_j >= t, from the probe tau_j - t * alpha0."""
+        nonlocal queries
+        queries += 1
+        return sign_oracle(rows[j] - t * alpha0) >= 0
+
+    m = d - 1
+    cap = math.sqrt(d - 1)
+    r = min(radius, cap)
+    lo = [0.0] * m
+    hi = [0.0] * m
+    for j in range(m):
+        # p_j lies on the side of 0 the first answer names, beyond
+        # inner; double outwards until an answer flips
+        outward = above(j, 0.0)
+        inner, t = 0.0, (r if outward else -r)
+        while abs(t) <= cap and above(j, t) == outward:
+            inner, t = t, 2.0 * t
+        if abs(t) > cap:
+            return None, queries
+        lo[j], hi[j] = (inner, t) if outward else (t, inner)
+
+    lo_a, hi_a = np.array(lo), np.array(hi)
+    half = 0.5 * (hi_a - lo_a)
+    center = 0.5 * (lo_a + hi_a)
+    width = hi_a - lo_a
+    err = math.sqrt(half.dot(half))
+    for _ in range(64 * m):
+        if norm * 2.0 * err <= config.eps_est or err <= 1e-15:
+            break
+        j = int(width.argmax())
+        mid = 0.5 * (lo[j] + hi[j])
+        if not lo[j] < mid < hi[j]:
+            break  # the widest bracket is down to adjacent floats
+        if above(j, mid):
+            lo[j] = mid
+        else:
+            hi[j] = mid
+        gap = hi[j] - lo[j]
+        width[j] = gap
+        half[j] = 0.5 * gap
+        center[j] = 0.5 * (lo[j] + hi[j])
+        err = math.sqrt(half.dot(half))
+    estimate = alpha0 + taus @ center
+    estimate /= np.linalg.norm(estimate)
+    return ExamResult(v_hat=norm * estimate, queries_used=queries,
+                      kind="approx_sign", angle_bound=err, known_norm=norm,
+                      alpha_history=(alpha0, estimate)), queries
+
+
+def construct_virtual_learner(remote, config, prior=None, radius=None):
     """Run the exam appropriate to the student's feedback channel.
 
     Dispatches on feedback kind: identity/sigmoid use d basis queries and
     a linear solve, hinge-value uses d query pairs, and sign feedback runs
-    the iterative direction search (requires config.known_norm).
+    the iterative direction search (requires config.known_norm).  prior
+    and radius warm-start the sign search (see approx_recover_sign); the
+    exact exams need no prior and ignore them.
     """
     d = remote.dim
     kind = remote.feedback
@@ -470,7 +603,8 @@ def construct_virtual_learner(remote, config):
         responses = np.array([remote.query(q) for q in queries.matrix])
         return exact_recover_hinge(queries, responses)
     if kind == "sign":
-        return approx_recover_sign(remote.query, d, config)
+        return approx_recover_sign(remote.query, d, config, prior=prior,
+                                   radius=radius)
     raise ValueError(f"no exam protocol for feedback {kind!r}")
 
 

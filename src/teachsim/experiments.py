@@ -84,7 +84,6 @@ class ExperimentConfig:
     norm_bound: float | None = None
     gamma_grid: tuple | None = None
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
-    adaptive_eps: bool = False
     lam: float = 0.0
     ridge: float = 5e-5
     iterations: int = 1000
@@ -448,8 +447,7 @@ def _make_teacher(kind, config, v_star, mode, spectral):
                              recovery=config.recovery,
                              exam_period=config.exam_period,
                              stop_tol=config.stop_tol,
-                             spectral=spectral, lam=config.lam,
-                             adaptive_eps=config.adaptive_eps)
+                             spectral=spectral, lam=config.lam)
     raise ValueError(f"unknown teacher kind {kind!r}")
 
 

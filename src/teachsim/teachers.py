@@ -595,28 +595,32 @@ class ActiveTeacher(_GreedyTeacher):
     after (sound when the map is conjugate-orthogonal, where the initial
     estimation error is provably never amplified); an integer period
     re-examines every that-many iterations.  "auto" means None for
-    unitary maps and 1 otherwise.  With sign feedback and adaptive_eps,
-    each exam's target error shrinks with the remaining distance so that
-    estimation noise never dominates the contraction budget.
+    unitary maps and 1 otherwise.
+
+    With sign feedback a re-exam is warm: it anchors the search at the
+    propagated estimate (see approx_recover_sign).  Its gallop radius is
+    the last sign exam's innovation ||v_exam - v_propagated|| per chart
+    coordinate, floored at that exam's certified error, both relative
+    to the disclosed norm.
     """
 
     def __init__(self, v_star, mode, eta, loss, recovery=None,
-                 exam_period="auto", stop_tol=0.0, spectral=None, lam=0.0,
-                 adaptive_eps=False):
+                 exam_period="auto", stop_tol=0.0, spectral=None, lam=0.0):
         super().__init__(v_star, mode, eta, loss, stop_tol, spectral, lam)
         self.recovery = recovery if recovery is not None else RecoveryConfig()
         self.exam_period = exam_period
-        self.adaptive_eps = adaptive_eps
         self.virtual = None
         self._t = 0
         self._last_exam_t = None
+        self._radius = None
 
     def prime(self, remote):
         """Run the background exam now instead of lazily on first step.
 
         Used when a teacher takes over an already-trained student: the
         handoff itself pays the exam cost, even if the teacher then
-        teaches for zero iterations.
+        teaches for zero iterations.  The incoming teacher holds no
+        estimate yet, so this exam is cold.
         """
         self._examine(remote)
 
@@ -630,20 +634,27 @@ class ActiveTeacher(_GreedyTeacher):
                 and self._t % period == 0)
 
     def _examine(self, remote):
-        cfg = self.recovery
         if remote.feedback == "sign":
-            norm = remote.disclosed_norm()
-            eps = cfg.eps_est
-            if self.adaptive_eps and self.virtual is not None:
-                dist = float(np.linalg.norm(self.virtual.v - self.v_star))
-                ratio = (self.spectral.sigma_min / self.spectral.sigma_max
-                         if self.spectral is not None else 1.0)
-                eps = max(max(self.lam, 1e-3) * ratio * dist, 1e-12)
-            cfg = replace(cfg, known_norm=norm, eps_est=eps)
-        result = construct_virtual_learner(remote, cfg)
+            result = self._sign_exam(remote)
+        else:
+            result = construct_virtual_learner(remote, self.recovery)
         self.virtual = VirtualLearner(v=result.v_hat,
                                       est_error=result.est_error())
         self._last_exam_t = self._t
+
+    def _sign_exam(self, remote):
+        """A sign exam, warm when the teacher already has an estimate."""
+        norm = remote.disclosed_norm()
+        cfg = replace(self.recovery, known_norm=norm)
+        prior = None if self.virtual is None else self.virtual.v
+        result = construct_virtual_learner(remote, cfg, prior=prior,
+                                           radius=self._radius)
+        innovation = (0.0 if prior is None
+                      else float(np.linalg.norm(result.v_hat - prior)))
+        chart_dims = math.sqrt(max(remote.dim - 1, 1))
+        self._radius = max(innovation / chart_dims,
+                           result.est_error()) / norm
+        return result
 
     def step(self, remote):
         if self._exam_due(remote):

@@ -369,24 +369,39 @@ def test_11_pool_selection_matches_exhaustive_search():
 
 
 def test_12_manifest_reruns_are_byte_identical_and_scale_runs_fit(tmp_path):
-    cfg_path = tmp_path / "run.ini"
-    cfg_path.write_text(
-        "[run]\nseed = 123\niterations = 150\n"
-        "[dataset]\ntask = classification\nd = 20\nn = 300\n"
-        "[learner]\neta = 0.01\n"
-        "[teacher]\nkind = active\nstop_tol = 0\n"
-        "[mode]\nkind = rescalable_pool\n"
-        "[map]\nkind = unitary\n")
-    out1 = tmp_path / "first"
-    out2 = tmp_path / "second"
-    assert cli_main(["run", "--config", str(cfg_path),
-                     "--out", str(out1)]) == 0
-    assert cli_main(["run", "--config", str(out1 / "manifest.ini"),
-                     "--out", str(out2)]) == 0
-    names = sorted(p.name for p in out1.glob("*.csv"))
-    assert names and names == sorted(p.name for p in out2.glob("*.csv"))
-    identical = all((out1 / n).read_bytes() == (out2 / n).read_bytes()
-                    for n in names)
+    configs = {
+        "pool": ("[run]\nseed = 123\niterations = 150\n"
+                 "[dataset]\ntask = classification\nd = 20\nn = 300\n"
+                 "[learner]\neta = 0.01\n"
+                 "[teacher]\nkind = active\nstop_tol = 0\n"
+                 "[mode]\nkind = rescalable_pool\n"
+                 "[map]\nkind = unitary\n"),
+        # sign feedback under forgetting: the active teacher's re-exams
+        # are warm, anchored at its own estimate
+        "sign": ("[run]\nseed = 5\niterations = 30\n"
+                 "[dataset]\ntask = classification\nd = 6\nn = 80\n"
+                 "[learner]\nloss = hinge\nfeedback = sign\neta = 0.01\n"
+                 "[teacher]\nstop_tol = 0\n"
+                 "[mode]\nkind = rescalable_pool\n"
+                 "[scenario]\nkind = forgetting\nsigma_forget = 0.01\n"),
+    }
+    names, identical = [], True
+    for label, text in configs.items():
+        cfg_path = tmp_path / f"{label}.ini"
+        cfg_path.write_text(text)
+        out1 = tmp_path / label / "first"
+        out2 = tmp_path / label / "second"
+        assert cli_main(["run", "--config", str(cfg_path),
+                         "--out", str(out1)]) == 0
+        assert cli_main(["run", "--config", str(out1 / "manifest.ini"),
+                         "--out", str(out2)]) == 0
+        run_names = sorted(p.name for p in out1.glob("*.csv"))
+        assert run_names and run_names == sorted(
+            p.name for p in out2.glob("*.csv"))
+        identical = identical and all(
+            (out1 / n).read_bytes() == (out2 / n).read_bytes()
+            for n in run_names)
+        names += run_names
 
     cfg = ts.ExperimentConfig(
         dataset=ts.DatasetSpec(task="classification", d=50, n=1000, seed=7),

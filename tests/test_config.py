@@ -69,8 +69,9 @@ def test_unknown_section_and_key_are_named(tmp_path):
 def test_type_errors_name_section_and_key(tmp_path):
     with pytest.raises(ConfigError, match="dataset.d"):
         load_config(_write(tmp_path, "[dataset]\nd = many\n"))
-    with pytest.raises(ConfigError, match="teacher.adaptive_eps"):
-        load_config(_write(tmp_path, "[teacher]\nadaptive_eps = maybe\n"))
+    with pytest.raises(ConfigError, match="recovery.standard_queries"):
+        load_config(_write(tmp_path,
+                           "[recovery]\nstandard_queries = maybe\n"))
     with pytest.raises(ConfigError, match="learner.loss"):
         load_config(_write(tmp_path, "[learner]\nloss = absolute\n"))
     with pytest.raises(ConfigError, match="run.test_fraction"):
@@ -228,16 +229,22 @@ def test_manifest_with_retired_keys_reruns_identically(tmp_path):
     assert main(["run", "--config", _write(tmp_path, text),
                  "--out", str(first)]) == 0
     manifest = (first / "manifest.ini").read_text()
-    assert "delta" not in manifest
-    # Older manifests also carry recovery.delta and recovery.lam.
-    old = _write(tmp_path, manifest.replace(
-        "\nmax_rounds = ", "\ndelta = 0.05\nlam = 0.1\nmax_rounds = "),
-        name="old.ini")
+    assert "delta" not in manifest and "adaptive_eps" not in manifest
+    # Older manifests also carry recovery.delta, recovery.lam and
+    # teacher.adaptive_eps.
+    old_text = manifest.replace(
+        "\nmax_rounds = ", "\ndelta = 0.05\nlam = 0.1\nmax_rounds = ")
+    old_text = old_text.replace("\nstop_tol = ",
+                                "\nadaptive_eps = true\nstop_tol = ")
+    assert "adaptive_eps = true" in old_text
+    old = _write(tmp_path, old_text, name="old.ini")
     assert load_config(old) == load_config(str(first / "manifest.ini"))
     assert main(["run", "--config", old, "--out", str(rerun)]) == 0
     assert ((rerun / "trace.csv").read_bytes()
             == (first / "trace.csv").read_bytes())
-    assert (rerun / "manifest.ini").read_text().count("delta") == 0
+    rerun_manifest = (rerun / "manifest.ini").read_text()
+    assert "delta" not in rerun_manifest
+    assert "adaptive_eps" not in rerun_manifest
 
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -282,8 +289,7 @@ def _configs(draw):
         norm_bound=draw(st.none() | _positive),
         gamma_grid=draw(st.none() | st.lists(_floats, min_size=1,
                                              max_size=4).map(tuple)),
-        recovery=recovery, adaptive_eps=draw(st.booleans()),
-        lam=draw(_non_negative), ridge=draw(_positive),
+        recovery=recovery, lam=draw(_non_negative), ridge=draw(_positive),
         iterations=draw(st.integers(0, 10 ** 6)),
         metrics_period=draw(_counts),
         test_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),

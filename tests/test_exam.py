@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teachsim.exam import (ExamResult, RankDeficientError, RecoveryConfig,
-                           RemoteLearner, approx_recover_sign,
-                           construct_virtual_learner, estimate_learning_rate,
-                           exact_recover_bijective, exact_recover_hinge,
-                           make_basis_queries, make_paired_queries)
+                           RemoteLearner, _tangent_frame, _warm_sign_search,
+                           approx_recover_sign, construct_virtual_learner,
+                           estimate_learning_rate, exact_recover_bijective,
+                           exact_recover_hinge, make_basis_queries,
+                           make_paired_queries)
 from teachsim.feature_space import conjugate_apply, random_map
 from teachsim.learners import LearnerState, SaturationError
 
@@ -211,6 +214,112 @@ def test_sign_recovery_scale_invariance():
     np.testing.assert_allclose(res3.v_hat, 3.0 * res1.v_hat, rtol=1e-15)
 
 
+_PRIORS = ("cold", "exact", "near", "antipodal", "orthogonal", "zeros",
+           "pinned")
+
+
+def _prior_and_target(kind, d, gen):
+    """(prior or None, teacher-space target v) for one prior kind.
+
+    "zeros" zeroes about a third of a near prior's coordinates.
+    "pinned" builds the target on the prior's own chart with about half
+    of its chart coordinates exactly zero.
+    """
+    v = gen.standard_normal(d)
+    noise = gen.standard_normal(d) / np.sqrt(d)
+    if kind == "pinned":
+        alpha0 = v / np.linalg.norm(v)
+        p = 0.05 * noise[:d - 1]
+        p[gen.random(d - 1) < 0.5] = 0.0
+        return v, alpha0 + _tangent_frame(alpha0) @ p
+    prior = {"cold": None, "exact": v, "antipodal": -v,
+             "near": v + 0.02 * np.linalg.norm(v) * noise,
+             "zeros": v + 0.02 * np.linalg.norm(v) * noise,
+             "orthogonal": noise - (noise @ v) / (v @ v) * v}[kind]
+    if kind == "zeros":
+        prior[gen.random(d) < 0.35] = 0.0
+    return prior, v
+
+
+def _sine(a, b):
+    """sin(angle(a, b)) from the part of a orthogonal to b; unlike
+    sqrt(1 - cos^2) it keeps its precision at tiny angles."""
+    a = a / np.linalg.norm(a)
+    b = b / np.linalg.norm(b)
+    return float(np.linalg.norm(a - (a @ b) * b))
+
+
+def _sign_remote(w, fmap):
+    return RemoteLearner(LearnerState(w=w, eta=0.1, loss="square",
+                                      feedback="sign"), fmap)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(d=st.integers(2, 50),
+       map_kind=st.sampled_from(("identity", "unitary", "general")),
+       prior_kind=st.sampled_from(_PRIORS),
+       seed=st.integers(0, 2 ** 32 - 1),
+       log_eps=st.floats(-12.0, -2.0),
+       log_radius=st.floats(-8.0, 0.0))
+@example(d=2, map_kind="identity", prior_kind="orthogonal", seed=1,
+         log_eps=-6.0, log_radius=-2.0)
+@example(d=50, map_kind="general", prior_kind="pinned", seed=2,
+         log_eps=-12.0, log_radius=-8.0)
+@example(d=20, map_kind="unitary", prior_kind="exact", seed=3,
+         log_eps=-12.0, log_radius=0.0)
+@example(d=20, map_kind="general", prior_kind="antipodal", seed=4,
+         log_eps=-6.0, log_radius=-2.0)
+@example(d=30, map_kind="identity", prior_kind="zeros", seed=5,
+         log_eps=-9.0, log_radius=-3.0)
+def test_sign_exam_error_within_its_certificate(d, map_kind, prior_kind,
+                                                seed, log_eps, log_radius):
+    gen = np.random.default_rng(seed)
+    fmap = random_map(d, map_kind, seed)
+    prior, v = _prior_and_target(prior_kind, d, gen)
+    # the student's weights w solve G^T w = v
+    w = v if map_kind == "identity" else np.linalg.solve(fmap.matrix.T, v)
+    true_v = conjugate_apply(fmap, w)
+    norm = float(np.linalg.norm(true_v))
+    cfg = RecoveryConfig(eps_est=10.0 ** log_eps * norm, known_norm=norm)
+    radius = 10.0 ** log_radius
+    rem = _sign_remote(w, fmap)
+    res = construct_virtual_learner(rem, cfg, prior=prior, radius=radius)
+    assert res.queries_used == rem.query_samples
+    err = float(np.linalg.norm(res.v_hat - true_v))
+    assert err <= res.est_error() + 1e-12 * norm
+    assert _sine(res.v_hat, true_v) <= res.angle_bound + 1e-12
+    if prior is None:
+        return
+    # a warm search that keeps its anchor is the exam, and certifies the
+    # eps_est target; one that gives up leaves the cold search to run
+    warm, spent = _warm_sign_search(_sign_remote(w, fmap).query, d, cfg,
+                                    prior, radius)
+    if warm is not None:
+        assert spent == res.queries_used
+        np.testing.assert_array_equal(warm.v_hat, res.v_hat)
+        assert norm * 2.0 * res.angle_bound <= cfg.eps_est
+        assert len(res.alpha_history) == 2
+    else:
+        cold = construct_virtual_learner(_sign_remote(w, fmap), cfg)
+        assert res.queries_used == cold.queries_used + spent
+        np.testing.assert_array_equal(res.v_hat, cold.v_hat)
+    if prior_kind in ("antipodal", "orthogonal"):
+        assert warm is None
+
+
+def test_sign_exam_prior_needs_a_radius():
+    cfg = RecoveryConfig(known_norm=1.0)
+    oracle = _sign_oracle_for([1.0, 2.0])
+    with pytest.raises(ValueError, match="radius"):
+        approx_recover_sign(oracle, 2, cfg, prior=np.ones(2))
+    # a prior without a direction leaves the exam cold
+    zero = approx_recover_sign(oracle, 2, cfg, prior=np.zeros(2),
+                               radius=0.1)
+    cold = approx_recover_sign(oracle, 2, cfg)
+    assert zero.queries_used == cold.queries_used
+    np.testing.assert_array_equal(zero.v_hat, cold.v_hat)
+
+
 def test_construct_virtual_learner_all_feedbacks():
     gen = np.random.default_rng(5)
     d = 7
@@ -301,4 +410,5 @@ def test_exam_result_est_error_forms():
     assert r1.est_error() == 1e-10
     r2 = ExamResult(v_hat=np.ones(2), queries_used=5, kind="approx_sign",
                     angle_bound=1e-3, known_norm=2.0)
-    np.testing.assert_allclose(r2.est_error(), 2e-3)
+    # norm * 2 * angle_bound: the chord bound the sign search stops on
+    np.testing.assert_allclose(r2.est_error(), 4e-3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import teachsim.teachers
 from teachsim.exam import RemoteLearner
 from teachsim.feature_space import (SpanMetric, conjugate_apply,
                                     project_span, random_map,
@@ -583,6 +584,57 @@ def test_auto_exam_period_stays_auto_and_follows_the_map():
             assert teacher.step(rem) is not None
             assert teacher.exam_period == "auto"
             assert rem.query_samples == d + (n - 1) * queries_per_step
+
+
+class _ProtocolView:
+    """A student handle that carries the teaching protocol and nothing
+    else: any other attribute, such as state, fmap or
+    observe_parameters, fails the test."""
+    _PROTOCOL = frozenset(("query", "teach", "dim", "loss", "feedback",
+                           "unitary_map", "disclosed_norm"))
+
+    def __init__(self, remote):
+        self._remote = remote
+
+    def __getattr__(self, name):
+        if name not in self._PROTOCOL:
+            raise AssertionError(f"black-box teacher read remote.{name}")
+        return getattr(self._remote, name)
+
+
+def test_black_box_teachers_use_only_the_protocol(monkeypatch):
+    # sign feedback on a forgetting student, so every re-exam of the
+    # active teacher is warm: anchored at its own propagated estimate
+    gen = np.random.default_rng(15)
+    d, eta, loss = 8, 0.5, "logistic"
+    fmap = random_map(d, "unitary", 4)
+    mode = TeachingMode.rescalable_pool(gen.standard_normal((40, d)),
+                                        gen.choice([-1.0, 1.0], size=40))
+    v_star = gen.standard_normal(d)
+    w0 = gen.standard_normal(d)
+    warm = []
+    exam = teachsim.teachers.construct_virtual_learner
+
+    def recording_exam(remote, config, prior=None, radius=None):
+        warm.append(prior is not None)
+        return exam(remote, config, prior=prior, radius=radius)
+
+    monkeypatch.setattr(teachsim.teachers, "construct_virtual_learner",
+                        recording_exam)
+    steps = 6
+    for teacher, expected in (
+            (ActiveTeacher(v_star, mode, eta, loss, exam_period=1),
+             [False] + [True] * (steps - 1)),
+            (LazyTeacher(v_star, mode, eta, loss), [False])):
+        remote = RemoteLearner(LearnerState(w=w0, eta=eta, loss=loss,
+                                            feedback="sign",
+                                            sigma_forget=0.01, seed=3), fmap)
+        warm.clear()
+        for _ in range(steps):
+            assert teacher.step(_ProtocolView(remote)) is not None
+        assert warm == expected
+        assert remote.teaching_samples == steps
+        assert remote.white_box_reads == 0
 
 
 def test_selection_et_report_is_taken_at_the_teachers_estimate():
