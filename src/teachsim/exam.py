@@ -335,16 +335,94 @@ def _tangent_frame(alpha):
     return h[:, 1:]
 
 
+class _Chart:
+    """The tangent chart of a sign exam at a unit anchor alpha0.
+
+    The probe tau_j - t * alpha0, tau_j a column of
+    _tangent_frame(alpha0), answers sign(p_j - t) for the chart
+    coordinate p_j = <u, tau_j> / <u, alpha0>.  ``open`` takes a bracket
+    per coordinate, ``bisect`` halves the widest until a stopping rule
+    holds, and ``err``, the norm of the half-widths, certifies them.
+    """
+
+    def __init__(self, sign_oracle, alpha0, queries):
+        self.oracle = sign_oracle
+        self.alpha0 = alpha0
+        self.taus = _tangent_frame(alpha0)
+        # tau_j as a contiguous row: the probe for coordinate j reads one row
+        self.rows = np.ascontiguousarray(self.taus.T)
+        self.queries = queries
+
+    def above(self, j, t):
+        """Whether p_j >= t, from the probe tau_j - t * alpha0."""
+        self.queries += 1
+        return self.oracle(self.rows[j] - t * self.alpha0) >= 0
+
+    def open(self, lo, hi, pinned):
+        """Start from the brackets lo[j] <= p_j <= hi[j]; a pinned one
+        counts in err but is never bisected."""
+        self.lo, self.hi = lo, hi
+        lo_a, hi_a = np.array(lo), np.array(hi)
+        self.half = 0.5 * (hi_a - lo_a)
+        self.center = 0.5 * (lo_a + hi_a)
+        # pinned coordinates have width -inf, so width.argmax() is the
+        # widest free bracket
+        self.width = np.where(pinned, -np.inf, hi_a - lo_a)
+        # ||half|| as np.linalg.norm computes it for a vector,
+        # sqrt(x . x), so every bit matches
+        self.err = math.sqrt(self.half.dot(self.half))
+
+    def bisect(self, budget, done, stop_at_floats):
+        """Halve the widest free bracket until err <= 1e-15,
+        done(err, center) holds or budget probes are spent; with
+        stop_at_floats, also once it is down to adjacent floats.  A
+        bisection of coordinate j moves entry j of the state only.
+        """
+        # the probe loop reads locals only
+        oracle, rows, alpha0 = self.oracle, self.rows, self.alpha0
+        lo, hi = self.lo, self.hi
+        half, center, width = self.half, self.center, self.width
+        err = self.err
+        spent = 0
+        for _ in range(budget):
+            if err <= 1e-15 or done(err, center):
+                break
+            j = int(width.argmax())
+            mid = 0.5 * (lo[j] + hi[j])
+            if stop_at_floats and not lo[j] < mid < hi[j]:
+                break
+            if oracle(rows[j] - mid * alpha0) >= 0:
+                lo[j] = mid
+            else:
+                hi[j] = mid
+            spent += 1
+            gap = hi[j] - lo[j]
+            width[j] = gap
+            half[j] = 0.5 * gap
+            center[j] = 0.5 * (lo[j] + hi[j])
+            err = math.sqrt(half.dot(half))
+        self.err = err
+        self.queries += spent
+
+    def estimate(self):
+        """The unit vector at the bracket centers."""
+        estimate = self.alpha0 + self.taus @ self.center
+        return estimate / np.linalg.norm(estimate)
+
+    def result(self, norm, history):
+        """The exam: norm times the last of history, certified by err."""
+        return ExamResult(v_hat=norm * history[-1], queries_used=self.queries,
+                          kind="approx_sign", angle_bound=self.err,
+                          known_norm=norm, alpha_history=tuple(history))
+
+
 def approx_recover_sign(sign_oracle, d, config, prior=None, radius=None):
     """Estimate v = G^T w from sign feedback plus its known norm.
 
     Sign responses expose only which side of each queried hyperplane the
-    direction u = v / ||v|| lies on.  The search works in the tangent
-    chart anchored at a unit vector alpha_0 with <u, alpha_0> > 0: with
-    tau_j the columns of _tangent_frame(alpha_0), u is a graph over the
-    tangent plane with chart coordinates p_j = <u, tau_j> / <u, alpha_0>,
-    and a probe tau_j - t * alpha_0 answers sign(p_j - t), so each chart
-    coordinate supports interval bisection.  For any such anchor
+    direction u = v / ||v|| lies on.  The search bisects the chart
+    coordinates p_j of u at a unit anchor alpha_0 with <u, alpha_0> > 0
+    (see _Chart).  For any such anchor
 
         sin(angle(estimate, u)) <= ||p - center|| / sqrt(1 + ||p||^2),
 
@@ -361,22 +439,15 @@ def approx_recover_sign(sign_oracle, d, config, prior=None, radius=None):
     exam is then warm (_warm_sign_search) and anchors at
     prior / ||prior||.  When that anchor fails its checks the cold
     search runs after all, and its result also counts the warm
-    attempt's queries.  d = 1 needs no chart: one query settles it.
+    attempt's queries.  At d = 1 the chart has no coordinates, so a
+    prior has nothing to warm and the cold exam's one query settles it.
     """
     if config.known_norm is None:
         raise ValueError("sign recovery requires known_norm")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    norm = config.known_norm
-
-    if d == 1:
-        s = 1.0 if sign_oracle(np.ones(1)) >= 0 else -1.0
-        return ExamResult(v_hat=np.array([s * norm]), queries_used=1,
-                          kind="approx_sign", angle_bound=0.0,
-                          known_norm=norm, alpha_history=(np.array([s]),))
-
     spent = 0
-    if prior is not None:
+    if prior is not None and d > 1:
         if radius is None or not radius > 0:
             raise ValueError(f"a prior needs a radius > 0, got {radius}")
         result, spent = _warm_sign_search(sign_oracle, d, config, prior,
@@ -384,20 +455,19 @@ def approx_recover_sign(sign_oracle, d, config, prior=None, radius=None):
         if result is not None:
             return result
     result = _cold_sign_search(sign_oracle, d, config)
-    if spent:
-        result = replace(result, queries_used=result.queries_used + spent)
-    return result
+    return replace(result, queries_used=result.queries_used + spent)
 
 
 def _cold_sign_search(sign_oracle, d, config):
-    """The sign search from nothing, for d >= 2.
+    """The sign search from nothing.
 
     1. Query the d coordinate signs s_i = sign(u_i) and set
        alpha_0 = s / sqrt(d).  Then <u, alpha_0> = ||u||_1 / sqrt(d)
        >= 1 / sqrt(d) > 0, so the chart coordinates are bounded by
        sqrt(d-1) in norm.
     2. Probes at +-1e-13 first pin coordinates that are exactly zero (an
-       aligned start never moves, and converges in zero rounds).
+       aligned start never moves, and converges in zero rounds; so does
+       d = 1, whose chart has no coordinates).
     3. Round k bisects the per-coordinate brackets until the certified
        chart error E_k satisfies E_k <= rho^k * L_k, where
        L_k = max(0, ||center|| - E_k) is a certified lower bound on
@@ -413,83 +483,41 @@ def _cold_sign_search(sign_oracle, d, config):
     signs = np.array([1.0 if sign_oracle(e) >= 0 else -1.0
                       for e in np.eye(d)])
     alpha0 = signs / math.sqrt(d)
-    taus = _tangent_frame(alpha0)
-    # tau_j as a contiguous row: the probe for coordinate j reads one row
-    rows = np.ascontiguousarray(taus.T)
+    chart = _Chart(sign_oracle, alpha0, queries=d)
 
     m = d - 1
     bound = math.sqrt(d - 1)
-    lo = [-bound] * m
-    hi = [bound] * m
-    pinned = [False] * m
-
-    # Zero-pinning pass: exact alignments resolve immediately.  A probe
-    # tau_j - t * alpha0 answers >= 0 exactly when p_j >= t.
+    lo, hi, pinned = [-bound] * m, [bound] * m, [False] * m
+    # Zero-pinning pass: exact alignments resolve immediately.
     for j in range(m):
-        below = sign_oracle(rows[j] - _PIN_OFFSET * alpha0) >= 0
-        above = sign_oracle(rows[j] + _PIN_OFFSET * alpha0) >= 0
+        below = chart.above(j, _PIN_OFFSET)
+        above = chart.above(j, -_PIN_OFFSET)
         if not below and above:
-            lo[j] = -_PIN_OFFSET
-            hi[j] = _PIN_OFFSET
-            pinned[j] = True
+            lo[j], hi[j], pinned[j] = -_PIN_OFFSET, _PIN_OFFSET, True
         elif below:
             lo[j] = _PIN_OFFSET
         else:
             hi[j] = -_PIN_OFFSET
-    queries = d + 2 * m
-
-    # Chart state, kept current one coordinate at a time: a bisection of
-    # coordinate j moves entry j only.  Pinned coordinates have width
-    # -inf, so width.argmax() is the widest free bracket.
-    lo_a, hi_a = np.array(lo), np.array(hi)
-    half = 0.5 * (hi_a - lo_a)
-    center = 0.5 * (lo_a + hi_a)
-    width = np.where(pinned, -np.inf, hi_a - lo_a)
-    # ||half|| and ||center|| as np.linalg.norm computes them for a
-    # vector, sqrt(x . x), so every bit matches
-    err = math.sqrt(half.dot(half))
-    angle_bound = err
+    chart.open(lo, hi, pinned)
 
     # The contraction guarantee is anchored at the chart origin, so the
     # recorded initial estimate must be alpha0 itself.
     history = [alpha0]
     if all(pinned):
         # True direction equals the initial estimate: done in 0 rounds.
-        return ExamResult(v_hat=norm * alpha0, queries_used=queries,
-                          kind="approx_sign", angle_bound=angle_bound,
-                          known_norm=norm, alpha_history=tuple(history))
+        return chart.result(norm, history)
+
+    def contracted(err, center):  # step 3's test, E_k <= rho^k * L_k
+        lower = math.sqrt(center.dot(center)) - err
+        return lower > 0 and err <= contraction * lower
 
     for k in range(1, config.max_rounds + 1):
-        # Shrink brackets until the certified sine bound contracts by
-        # rho^k relative to the certified chart norm.
         contraction = rho ** k
-        for _ in range(64 * m):
-            if err <= 1e-15:
-                break
-            lower = math.sqrt(center.dot(center)) - err
-            if lower > 0 and err <= contraction * lower:
-                break
-            j = int(width.argmax())
-            mid = 0.5 * (lo[j] + hi[j])
-            if sign_oracle(rows[j] - mid * alpha0) >= 0:
-                lo[j] = mid
-            else:
-                hi[j] = mid
-            queries += 1
-            gap = hi[j] - lo[j]
-            width[j] = gap
-            half[j] = 0.5 * gap
-            center[j] = 0.5 * (lo[j] + hi[j])
-            err = math.sqrt(half.dot(half))
-        estimate = alpha0 + taus @ center
-        history.append(estimate / np.linalg.norm(estimate))
-        angle_bound = err
-        if norm * 2.0 * err <= config.eps_est or err <= 1e-15:
+        chart.bisect(64 * m, contracted, stop_at_floats=False)
+        history.append(chart.estimate())
+        if norm * 2.0 * chart.err <= config.eps_est or chart.err <= 1e-15:
             break
-
-    return ExamResult(v_hat=norm * history[-1], queries_used=queries,
-                      kind="approx_sign", angle_bound=angle_bound,
-                      known_norm=norm, alpha_history=tuple(history))
+    return chart.result(norm, history)
 
 
 def _warm_sign_search(sign_oracle, d, config, prior, radius):
@@ -509,16 +537,15 @@ def _warm_sign_search(sign_oracle, d, config, prior, radius):
        attempt.  That cap also stops an orthogonal prior: the anchor
        check answers it ">= 0", but <u, alpha_0> = 0 makes p unbounded
        and every answer the same.
-    3. Bisect the widest bracket until the final test of the cold
-       search holds, within the cold loop's budget of 64 (d - 1) probes,
-       and stop early once the widest bracket is down to adjacent floats.
+    3. Bisect until the cold search's final test holds, within its
+       budget of 64 (d - 1) probes or until adjacent floats.
 
     There are no rounds: the cold contraction rule is relative to ||p||,
     which a good prior makes tiny, so it would bisect towards the 1e-15
-    floor.  For the same reason exact zero coordinates need no pinning
-    pass; their brackets halve like any other.  Every bracket is
-    certified by answers alone, so a poor prior costs queries but never
-    correctness.  alpha_history is (alpha_0, final estimate).
+    floor.  Nor is there a pinning pass: exact zero coordinates halve
+    like any other.  Every bracket is certified by answers alone, so a
+    poor prior costs queries but never correctness.  alpha_history is
+    (alpha_0, final estimate).
     """
     scale = float(np.linalg.norm(prior))
     if not (math.isfinite(scale) and scale > 0):
@@ -527,58 +554,29 @@ def _warm_sign_search(sign_oracle, d, config, prior, radius):
     alpha0 = np.asarray(prior, dtype=np.float64) / scale
     if sign_oracle(alpha0) < 0:
         return None, 1
-    taus = _tangent_frame(alpha0)
-    rows = np.ascontiguousarray(taus.T)
-    queries = 1
-
-    def above(j, t):
-        """Whether p_j >= t, from the probe tau_j - t * alpha0."""
-        nonlocal queries
-        queries += 1
-        return sign_oracle(rows[j] - t * alpha0) >= 0
+    chart = _Chart(sign_oracle, alpha0, queries=1)
 
     m = d - 1
     cap = math.sqrt(d - 1)
     r = min(radius, cap)
-    lo = [0.0] * m
-    hi = [0.0] * m
+    lo, hi = [0.0] * m, [0.0] * m
     for j in range(m):
         # p_j lies on the side of 0 the first answer names, beyond
         # inner; double outwards until an answer flips
-        outward = above(j, 0.0)
+        outward = chart.above(j, 0.0)
         inner, t = 0.0, (r if outward else -r)
-        while abs(t) <= cap and above(j, t) == outward:
+        while abs(t) <= cap and chart.above(j, t) == outward:
             inner, t = t, 2.0 * t
         if abs(t) > cap:
-            return None, queries
+            return None, chart.queries
         lo[j], hi[j] = (inner, t) if outward else (t, inner)
+    chart.open(lo, hi, [False] * m)
 
-    lo_a, hi_a = np.array(lo), np.array(hi)
-    half = 0.5 * (hi_a - lo_a)
-    center = 0.5 * (lo_a + hi_a)
-    width = hi_a - lo_a
-    err = math.sqrt(half.dot(half))
-    for _ in range(64 * m):
-        if norm * 2.0 * err <= config.eps_est or err <= 1e-15:
-            break
-        j = int(width.argmax())
-        mid = 0.5 * (lo[j] + hi[j])
-        if not lo[j] < mid < hi[j]:
-            break  # the widest bracket is down to adjacent floats
-        if above(j, mid):
-            lo[j] = mid
-        else:
-            hi[j] = mid
-        gap = hi[j] - lo[j]
-        width[j] = gap
-        half[j] = 0.5 * gap
-        center[j] = 0.5 * (lo[j] + hi[j])
-        err = math.sqrt(half.dot(half))
-    estimate = alpha0 + taus @ center
-    estimate /= np.linalg.norm(estimate)
-    return ExamResult(v_hat=norm * estimate, queries_used=queries,
-                      kind="approx_sign", angle_bound=err, known_norm=norm,
-                      alpha_history=(alpha0, estimate)), queries
+    def certified(err, center):
+        return norm * 2.0 * err <= config.eps_est
+
+    chart.bisect(64 * m, certified, stop_at_floats=True)
+    return chart.result(norm, (alpha0, chart.estimate())), chart.queries
 
 
 def construct_virtual_learner(remote, config, prior=None, radius=None):

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exam import RecoveryConfig, RemoteLearner
-from .feature_space import (FeatureMap, conjugate_apply, random_map,
-                            spectral_stats)
+from .feature_space import conjugate_apply, random_map, spectral_stats
 from .learners import LearnerState, _sigmoid, loss_value
 from .rng import (KEY_DATA, KEY_INIT, KEY_SELECT, KEY_SPLIT, derive_seed,
                   substream)
@@ -390,12 +389,6 @@ def _split(features, labels, fraction, seed):
             features[test_idx], labels[test_idx])
 
 
-def _build_map(config, d):
-    if config.map_kind == "identity":
-        return FeatureMap(np.eye(d), is_unitary=True)
-    return random_map(d, config.map_kind, config.map_seed)
-
-
 def _build_mode(config, train_x, train_y):
     kind = config.mode_kind
     if kind == "pool":
@@ -489,7 +482,7 @@ def _prepare(config):
     train_x, train_y, test_x, test_y = _split(
         features, labels, config.test_fraction, config.run_seed)
     v_star = train_optimal(train_x, train_y, config.loss, config.ridge)
-    fmap = _build_map(config, train_x.shape[1])
+    fmap = random_map(train_x.shape[1], config.map_kind, config.map_seed)
     mode = _build_mode(config, train_x, train_y)
     evaluator = _Evaluator(v_star, train_x, train_y, test_x, test_y,
                            config.loss, classification)

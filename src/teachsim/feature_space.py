@@ -12,7 +12,7 @@ import numpy as np
 
 from .rng import KEY_MAP, substream
 
-# Relative eigenvalue cutoff shared by pseudo-inverses and rank decisions.
+# Relative eigenvalue cutoff of the span's rank decision.
 _RANK_CUTOFF = 1e-10
 
 # A map is treated as conjugate-orthogonal when max|G^T G - I| is below this.
@@ -120,9 +120,9 @@ def random_map(dim, kind, seed):
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    gen = substream(seed, KEY_MAP)
     if kind == "identity":
         return FeatureMap(np.eye(dim), is_unitary=True)
+    gen = substream(seed, KEY_MAP)
     if kind == "unitary":
         a = gen.standard_normal((dim, dim))
         q, r = np.linalg.qr(a)
@@ -154,10 +154,11 @@ def random_map(dim, kind, seed):
 class SpanMetric:
     """Geometry induced by the span of a candidate set.
 
-    Holds the orthogonal projector P = D (D^T D)^+ D^T onto span(D) for a
-    d x k matrix D whose columns are the candidates.  The pseudo-inverse
-    drops eigenvalues of D^T D below 1e-10 times the largest, and the rank
-    is the number kept.
+    Holds the orthogonal projector P = B B^T onto span(D) for a d x k
+    matrix D whose columns are the candidates.  B holds the eigenvectors
+    of the d x d Gram matrix D D^T whose eigenvalues exceed 1e-10 times
+    the largest, an orthonormal basis of the span; the rank is the number
+    kept.
     """
 
     def __init__(self, candidates):
@@ -167,17 +168,14 @@ class SpanMetric:
                 f"candidate matrix must be 2-D, got shape {d_mat.shape}")
         if not np.all(np.isfinite(d_mat)):
             raise ValueError("candidate matrix has non-finite entries")
-        gram = d_mat.T @ d_mat
-        vals, vecs = np.linalg.eigh(gram)
+        vals, vecs = np.linalg.eigh(d_mat @ d_mat.T)
         top = vals[-1] if vals.size else 0.0
         if top <= 0.0:
             raise ValueError("all candidates are zero vectors")
         keep = vals > _RANK_CUTOFF * top
-        inv = np.zeros_like(vals)
-        inv[keep] = 1.0 / vals[keep]
-        pinv = (vecs * inv) @ vecs.T
-        self.projector = d_mat @ pinv @ d_mat.T
-        self.projector = 0.5 * (self.projector + self.projector.T)
+        basis = vecs[:, keep]
+        projector = basis @ basis.T
+        self.projector = 0.5 * (projector + projector.T)
         self.rank = int(np.count_nonzero(keep))
         self.dim = d_mat.shape[0]
 

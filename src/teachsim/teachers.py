@@ -128,7 +128,14 @@ class TeachingMode:
 
 @dataclass(frozen=True)
 class VirtualLearner:
-    """Teacher-side estimate of G^T w with its certified error."""
+    """Teacher-side estimate of G^T w.
+
+    est_error is the certified error of the last exam.  Propagating the
+    estimate through teaching steps does not update it, so under
+    forgetting or a general map it goes stale: it bounds ||v - G^T w||
+    only right after an exam, and a run-time check must not read it as
+    current.
+    """
     v: np.ndarray
     est_error: float
 
@@ -602,6 +609,11 @@ class ActiveTeacher(_GreedyTeacher):
     the last sign exam's innovation ||v_exam - v_propagated|| per chart
     coordinate, floored at that exam's certified error, both relative
     to the disclosed norm.
+
+    ``virtual.est_error`` is the certified error of the last exam.  Each
+    step propagates the estimate but carries that number over unchanged,
+    so it goes stale under forgetting or a general map; it is not a
+    bound on the current error.
     """
 
     def __init__(self, v_star, mode, eta, loss, recovery=None,

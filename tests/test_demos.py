@@ -1,8 +1,13 @@
+import glob
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(os.path.basename(p)
+               for p in glob.glob(os.path.join(ROOT, "demos", "*.py")))
 
 
 def _run_demo(name, hash_seed):
@@ -14,6 +19,17 @@ def _run_demo(name, hash_seed):
                           env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     return proc.stdout
+
+
+def test_every_demo_is_collected():
+    # an empty glob would leave the parametrized test below with no cases
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_exits_cleanly(name):
+    # check=True raises unless the demo exits 0
+    assert _run_demo(name, "0")
 
 
 def test_demo_02_output_does_not_depend_on_string_hashing():

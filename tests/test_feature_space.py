@@ -120,3 +120,49 @@ def test_projection_is_idempotent_and_inside_span():
                                atol=1e-12)
     # residual orthogonal to every basis column
     np.testing.assert_allclose(basis.T @ (v - p), np.zeros(4), atol=1e-9)
+
+
+def _kxk_projector(candidates):
+    """The projector D (D^T D)^+ D^T through the k x k Gram matrix, with
+    eigenvalues below 1e-10 times the largest dropped; returns it and the
+    rank kept."""
+    vals, vecs = np.linalg.eigh(candidates.T @ candidates)
+    keep = vals > 1e-10 * vals[-1]
+    inv = np.zeros_like(vals)
+    inv[keep] = 1.0 / vals[keep]
+    proj = candidates @ ((vecs * inv) @ vecs.T) @ candidates.T
+    return 0.5 * (proj + proj.T), int(np.count_nonzero(keep))
+
+
+def _span(gen, d, k, rank):
+    """A d x k candidate matrix of the given rank, its nonzero singular
+    values in [0.5, 2], where the k x k formula is accurate.  When k is
+    1 mod 3 a column is repeated, when it is 2 mod 3 about 30% of the
+    columns are zeroed."""
+    u, _ = np.linalg.qr(gen.standard_normal((d, rank)))
+    v, _ = np.linalg.qr(gen.standard_normal((k, rank)))
+    cands = (u * gen.uniform(0.5, 2.0, rank)) @ v.T
+    if k % 3 == 1:
+        cands[:, gen.integers(0, k)] = cands[:, 0]
+    if k % 3 == 2:
+        cands[:, gen.random(k) < 0.3] = 0.0
+    return cands
+
+
+def test_span_metric_matches_the_kxk_gram_projector():
+    # rank-deficient spans, repeated columns and zero columns, with k
+    # below, at and above d
+    gen = np.random.default_rng(11)
+    for _ in range(200):
+        d = int(gen.integers(1, 12))
+        k = int(gen.integers(1, 2 * d + 3))
+        rank = int(gen.integers(1, min(d, k) + 1))
+        cands = _span(gen, d, k, rank)
+        if not np.any(cands):
+            continue
+        metric = SpanMetric(cands)
+        expected, expected_rank = _kxk_projector(cands)
+        assert metric.rank == expected_rank
+        assert np.max(np.abs(metric.projector - expected)) <= 1e-12
+        np.testing.assert_array_equal(metric.projector, metric.projector.T)
+

@@ -1,11 +1,13 @@
-"""The sign exam against a reference copy of its scalar bracket loop.
+"""The sign exam against reference copies of its two searches.
 
 ``reference_recover_sign`` is the bracket loop as it stood before the
 search kept its chart state incrementally: every probe rebuilt the
-center and half-width arrays and took two norms.  It is kept verbatim,
-apart from its name, so the equivalence test below pins the optimized
-search to it byte for byte: the same queries in the same order, the same
-estimates, the same certificate.
+center and half-width arrays and took two norms.
+``reference_warm_sign_search`` is the warm search as it stood before
+the cold and warm searches shared one chart engine.  Both are kept
+verbatim, apart from their names, so the equivalence tests below pin
+the searches to them byte for byte: the same queries in the same order,
+the same estimates, the same certificate.
 """
 
 import math
@@ -15,9 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teachsim.exam import (ExamResult, RecoveryConfig, RemoteLearner,
-                           _PIN_OFFSET, _tangent_frame, approx_recover_sign)
+                           _PIN_OFFSET, _tangent_frame, _warm_sign_search,
+                           approx_recover_sign)
 from teachsim.feature_space import random_map
 from teachsim.learners import LearnerState
+from test_exam import _PRIORS, _prior_and_target
 
 
 def reference_recover_sign(sign_oracle, d, config):
@@ -147,6 +151,95 @@ def reference_recover_sign(sign_oracle, d, config):
                       known_norm=norm, alpha_history=tuple(history))
 
 
+def reference_warm_sign_search(sign_oracle, d, config, prior, radius):
+    """The sign search anchored at a prior, for d >= 2.
+
+    Returns (result, queries spent); result is None when the prior
+    cannot anchor the chart and the cold search must run.
+
+    1. Anchor check: one query at alpha_0 = prior / ||prior||.  An
+       answer < 0 puts u on the far side of the tangent plane.  A zero
+       or non-finite prior has no direction and spends nothing.
+    2. Galloping brackets (the exponential search of Bentley and Yao,
+       1976): a probe at t = 0 names the side of p_j, then probes at
+       t = r, 2r, 4r, ... on that side, with r = radius, answer
+       sign(p_j - t) until the answer flips, which brackets p_j.  A
+       coordinate beyond sqrt(d - 1), the cold chart's bound, ends the
+       attempt.  That cap also stops an orthogonal prior: the anchor
+       check answers it ">= 0", but <u, alpha_0> = 0 makes p unbounded
+       and every answer the same.
+    3. Bisect the widest bracket until the final test of the cold
+       search holds, within the cold loop's budget of 64 (d - 1) probes,
+       and stop early once the widest bracket is down to adjacent floats.
+
+    There are no rounds: the cold contraction rule is relative to ||p||,
+    which a good prior makes tiny, so it would bisect towards the 1e-15
+    floor.  For the same reason exact zero coordinates need no pinning
+    pass; their brackets halve like any other.  Every bracket is
+    certified by answers alone, so a poor prior costs queries but never
+    correctness.  alpha_history is (alpha_0, final estimate).
+    """
+    scale = float(np.linalg.norm(prior))
+    if not (math.isfinite(scale) and scale > 0):
+        return None, 0
+    norm = config.known_norm
+    alpha0 = np.asarray(prior, dtype=np.float64) / scale
+    if sign_oracle(alpha0) < 0:
+        return None, 1
+    taus = _tangent_frame(alpha0)
+    rows = np.ascontiguousarray(taus.T)
+    queries = 1
+
+    def above(j, t):
+        """Whether p_j >= t, from the probe tau_j - t * alpha0."""
+        nonlocal queries
+        queries += 1
+        return sign_oracle(rows[j] - t * alpha0) >= 0
+
+    m = d - 1
+    cap = math.sqrt(d - 1)
+    r = min(radius, cap)
+    lo = [0.0] * m
+    hi = [0.0] * m
+    for j in range(m):
+        # p_j lies on the side of 0 the first answer names, beyond
+        # inner; double outwards until an answer flips
+        outward = above(j, 0.0)
+        inner, t = 0.0, (r if outward else -r)
+        while abs(t) <= cap and above(j, t) == outward:
+            inner, t = t, 2.0 * t
+        if abs(t) > cap:
+            return None, queries
+        lo[j], hi[j] = (inner, t) if outward else (t, inner)
+
+    lo_a, hi_a = np.array(lo), np.array(hi)
+    half = 0.5 * (hi_a - lo_a)
+    center = 0.5 * (lo_a + hi_a)
+    width = hi_a - lo_a
+    err = math.sqrt(half.dot(half))
+    for _ in range(64 * m):
+        if norm * 2.0 * err <= config.eps_est or err <= 1e-15:
+            break
+        j = int(width.argmax())
+        mid = 0.5 * (lo[j] + hi[j])
+        if not lo[j] < mid < hi[j]:
+            break  # the widest bracket is down to adjacent floats
+        if above(j, mid):
+            lo[j] = mid
+        else:
+            hi[j] = mid
+        gap = hi[j] - lo[j]
+        width[j] = gap
+        half[j] = 0.5 * gap
+        center[j] = 0.5 * (lo[j] + hi[j])
+        err = math.sqrt(half.dot(half))
+    estimate = alpha0 + taus @ center
+    estimate /= np.linalg.norm(estimate)
+    return ExamResult(v_hat=norm * estimate, queries_used=queries,
+                      kind="approx_sign", angle_bound=err, known_norm=norm,
+                      alpha_history=(alpha0, estimate)), queries
+
+
 def _student_image(d, start, gen):
     """A teacher-space target v = G^T w of the requested shape.
 
@@ -229,3 +322,124 @@ def test_sign_search_matches_reference_byte_for_byte(d, map_kind, start, seed,
     for a, b in zip(got.alpha_history, ref.alpha_history):
         assert _bits(a) == _bits(b)
     assert (got.kind, got.known_norm) == (ref.kind, ref.known_norm)
+
+
+def _far_prior_and_target(d, gen):
+    """A prior whose target sits at chart coordinates +-sqrt(d - 1) / 2.
+
+    Galloping brackets them inside the cold chart's bound.  From d = 22
+    on, the brackets reach adjacent floats while their certificate is
+    still above the 1e-15 floor, so a tiny eps_est ends the bisection
+    there.
+    """
+    prior = gen.standard_normal(d)
+    alpha0 = prior / np.linalg.norm(prior)
+    p = 0.5 * math.sqrt(d - 1) * np.where(gen.random(d - 1) < 0.5, -1.0, 1.0)
+    return prior, alpha0 + _tangent_frame(alpha0) @ p
+
+
+def _recorded_warm(search, fmap, w, config, prior, radius):
+    """Run one warm search; returns its queries' bytes, result, spent."""
+    remote = RemoteLearner(LearnerState(w=w, eta=0.1, loss="square",
+                                        feedback="sign"), fmap)
+    sent = []
+
+    def oracle(q):
+        sent.append(np.asarray(q, dtype=np.float64).tobytes())
+        return remote.query(q)
+
+    result, spent = search(oracle, fmap.d, config, prior, radius)
+    assert spent == len(sent) == remote.query_samples
+    return sent, result, spent
+
+
+def _assert_same_exam(got, ref):
+    assert got.queries_used == ref.queries_used
+    assert _bits(got.v_hat) == _bits(ref.v_hat)
+    assert _bits(got.angle_bound) == _bits(ref.angle_bound)
+    assert len(got.alpha_history) == len(ref.alpha_history)
+    for a, b in zip(got.alpha_history, ref.alpha_history):
+        assert _bits(a) == _bits(b)
+    assert (got.kind, got.known_norm) == (ref.kind, ref.known_norm)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(2, 50),
+       map_kind=st.sampled_from(("identity", "unitary", "general")),
+       prior_kind=st.sampled_from(_PRIORS + ("far",)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       log_eps=st.floats(-16.0, -2.0),
+       log_radius=st.floats(-8.0, 0.0))
+@example(d=2, map_kind="identity", prior_kind="orthogonal", seed=1,
+         log_eps=-6.0, log_radius=-2.0)
+@example(d=50, map_kind="general", prior_kind="pinned", seed=2,
+         log_eps=-12.0, log_radius=-8.0)
+@example(d=20, map_kind="unitary", prior_kind="exact", seed=3,
+         log_eps=-12.0, log_radius=0.0)
+@example(d=20, map_kind="general", prior_kind="antipodal", seed=4,
+         log_eps=-6.0, log_radius=-2.0)
+@example(d=30, map_kind="identity", prior_kind="zeros", seed=5,
+         log_eps=-9.0, log_radius=-3.0)
+@example(d=20, map_kind="unitary", prior_kind="near", seed=6,
+         log_eps=-2.0, log_radius=-4.0)
+# the widest bracket runs out of floats before the certificate floor
+@example(d=50, map_kind="unitary", prior_kind="far", seed=7,
+         log_eps=-16.0, log_radius=-3.0)
+def test_warm_search_matches_reference_byte_for_byte(d, map_kind, prior_kind,
+                                                     seed, log_eps,
+                                                     log_radius):
+    gen = np.random.default_rng(seed)
+    fmap = random_map(d, map_kind, seed)
+    prior, v = (_far_prior_and_target(d, gen) if prior_kind == "far"
+                else _prior_and_target(prior_kind, d, gen))
+    # the student's weights w solve G^T w = v
+    w = v if map_kind == "identity" else np.linalg.solve(fmap.matrix.T, v)
+    norm = float(np.linalg.norm(v))
+    config = RecoveryConfig(eps_est=10.0 ** log_eps * norm, known_norm=norm)
+    radius = 10.0 ** log_radius
+    if prior is None:
+        # a cold exam has no warm search: pin the whole exam instead
+        sent, got = _recorded_exam(
+            lambda o, dim, cfg: approx_recover_sign(o, dim, cfg, prior=None,
+                                                    radius=radius),
+            fmap, w, config)
+        sent_ref, ref = _recorded_exam(reference_recover_sign, fmap, w,
+                                       config)
+        assert sent == sent_ref
+        _assert_same_exam(got, ref)
+        return
+    sent, got, spent = _recorded_warm(_warm_sign_search, fmap, w, config,
+                                      prior, radius)
+    sent_ref, ref, spent_ref = _recorded_warm(reference_warm_sign_search,
+                                              fmap, w, config, prior, radius)
+    assert sent == sent_ref
+    assert spent == spent_ref
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        _assert_same_exam(got, ref)
+
+
+@given(map_kind=st.sampled_from(("identity", "unitary", "general")),
+       prior_kind=st.sampled_from(_PRIORS),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_one_dimensional_exam_ignores_its_prior(map_kind, prior_kind, seed):
+    # d = 1 has no chart coordinates: the exam is the cold one, a single
+    # query e_1, whatever prior the caller holds
+    gen = np.random.default_rng(seed)
+    fmap = random_map(1, map_kind, seed)
+    v = gen.standard_normal(1)
+    prior = {"cold": None, "exact": v, "antipodal": -v,
+             "orthogonal": np.zeros(1)}.get(prior_kind, v + 0.1)
+    w = v if map_kind == "identity" else np.linalg.solve(fmap.matrix.T, v)
+    config = RecoveryConfig(known_norm=float(np.linalg.norm(v)))
+    sent, got = _recorded_exam(
+        lambda o, dim, cfg: approx_recover_sign(o, dim, cfg, prior=prior,
+                                                radius=0.1),
+        fmap, w, config)
+    sent_cold, cold = _recorded_exam(approx_recover_sign, fmap, w, config)
+    sent_ref, ref = _recorded_exam(reference_recover_sign, fmap, w, config)
+    assert sent == sent_cold == sent_ref == [np.ones(1).tobytes()]
+    _assert_same_exam(got, cold)
+    _assert_same_exam(got, ref)
+    assert got.angle_bound == 0.0 and len(got.alpha_history) == 1
