@@ -6,9 +6,9 @@ recovery into a problem about v = G^T w in the teacher's own space:
 
 * invertible F (identity, sigmoid): d well-conditioned queries give a
   linear system for v, solved exactly;
-* hinge-value F: each query direction is paired with its negation; one of
-  the pair responds on its linear piece (or both vanish), again giving d
-  usable equations;
+* hinge-value F: each query q is asked with its negation, and since
+  max(0, z) - max(0, -z) = z, the difference of the pair's answers is
+  the identity channel's answer <v, q>;
 * sign F: only the direction of v is observable, so it is pinned down by
   a deterministic sequence of halfspace probes and rescaled by the
   externally supplied norm of G^T w.
@@ -115,25 +115,6 @@ class RemoteLearner:
 
 
 @dataclass(frozen=True)
-class QuerySet:
-    """Teacher-space query directions, one per matrix row."""
-    matrix: np.ndarray
-    kind: str  # "basis_d" | "paired_2d"
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.float64)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[1]
-
-    def __len__(self):
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class RecoveryConfig:
     """Knobs for virtual-learner construction.
 
@@ -204,42 +185,22 @@ class ExamResult:
 
 
 def make_basis_queries(d, seed, standard=False):
-    """d teacher-space query directions forming a full-rank set.
+    """d teacher-space query directions, the rows of a read-only (d, d)
+    matrix.
 
     standard=True returns the coordinate basis e_1..e_d; otherwise seeded
-    Gaussian directions, redrawn in the (astronomically unlikely) event of
-    near-singularity.  Same seed -> same queries, so exams are replayable.
+    Gaussian directions.  Same seed -> same queries, so exams are
+    replayable.  Their rank is decided by the solve in
+    exact_recover_bijective, which raises RankDeficientError.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if standard:
-        return QuerySet(np.eye(d), "basis_d")
-    gen = substream(seed, KEY_QUERIES)
-    for _ in range(64):
-        m = gen.standard_normal((d, d))
-        svals = np.linalg.svd(m, compute_uv=False)
-        if svals[-1] > 1e-8:
-            return QuerySet(m, "basis_d")
-    raise RankDeficientError("could not draw a full-rank query set")
-
-
-def make_paired_queries(d, seed, standard=False):
-    """2d queries arranged as consecutive pairs (z_i, -z_i)."""
-    base = make_basis_queries(d, seed, standard=standard)
-    rows = np.empty((2 * d, d))
-    rows[0::2] = base.matrix
-    rows[1::2] = -base.matrix
-    return QuerySet(rows, "paired_2d")
-
-
-def _solve_square(queries, rhs):
-    """Solve queries @ v = rhs; returns v and the smallest singular value."""
-    svals = np.linalg.svd(queries, compute_uv=False)
-    if svals[-1] <= _RANK_TOL * svals[0]:
-        raise RankDeficientError(
-            f"query matrix numerically singular (relative smallest "
-            f"singular value {svals[-1] / svals[0]:.3e})")
-    return np.linalg.solve(queries, rhs), float(svals[-1])
+        queries = np.eye(d)
+    else:
+        queries = substream(seed, KEY_QUERIES).standard_normal((d, d))
+    queries.setflags(write=False)
+    return queries
 
 
 def _logit(p):
@@ -268,51 +229,28 @@ def _sigmoid_inversion_error(responses, rhs, sigma_min):
 def exact_recover_bijective(queries, responses, feedback):
     """Recover v = G^T w from responses through an invertible feedback.
 
-    Inverts F pointwise and solves the d x d system <v, q_j> = F^-1(r_j).
-    The sigmoid inverse amplifies response rounding without bound as r
-    nears 0 or 1; that error is reported as ``inversion_error``.
+    Inverts F pointwise and solves the d x d system <v, q_j> = F^-1(r_j),
+    one query per row of ``queries``.  The sigmoid inverse amplifies
+    response rounding without bound as r nears 0 or 1; that error is
+    reported as ``inversion_error``.
     """
-    if queries.kind != "basis_d":
-        raise ValueError(f"expected basis_d queries, got {queries.kind!r}")
     responses = np.asarray(responses, dtype=np.float64)
     if responses.shape != (len(queries),):
         raise ValueError(
             f"expected {len(queries)} responses, got shape {responses.shape}")
     rhs = feedback_invert(feedback, responses)
-    v_hat, sigma_min = _solve_square(queries.matrix, rhs)
-    residual = float(np.max(np.abs(queries.matrix @ v_hat - rhs)))
-    inversion = (_sigmoid_inversion_error(responses, rhs, sigma_min)
+    svals = np.linalg.svd(queries, compute_uv=False)
+    if svals[-1] <= _RANK_TOL * svals[0]:
+        raise RankDeficientError(
+            f"query matrix numerically singular (relative smallest "
+            f"singular value {svals[-1] / svals[0]:.3e})")
+    v_hat = np.linalg.solve(queries, rhs)
+    residual = float(np.max(np.abs(queries @ v_hat - rhs)))
+    inversion = (_sigmoid_inversion_error(responses, rhs, float(svals[-1]))
                  if feedback == "sigmoid" else 0.0)
     return ExamResult(v_hat=v_hat, queries_used=len(queries),
                       kind="exact_bijective", residual=residual,
                       inversion_error=inversion)
-
-
-def exact_recover_hinge(queries, responses):
-    """Recover v from hinge-value feedback max(0, <v, q>).
-
-    For each pair (z, -z): a positive response on either side lands on the
-    linear piece of the hinge and yields a signed equation; both responses
-    zero force <v, z> = 0 exactly.  Either way each pair contributes one
-    equation, so d pairs determine v.
-    """
-    if queries.kind != "paired_2d":
-        raise ValueError(f"expected paired_2d queries, got {queries.kind!r}")
-    responses = np.asarray(responses, dtype=np.float64)
-    if responses.shape != (len(queries),):
-        raise ValueError(
-            f"expected {len(queries)} responses, got shape {responses.shape}")
-    if np.any(responses < 0):
-        raise ValueError("hinge-value responses cannot be negative")
-    d = queries.dim
-    base = queries.matrix[0::2]
-    pos = responses[0::2]
-    neg = responses[1::2]
-    rhs = np.where(pos > 0, pos, -neg)
-    v_hat, _ = _solve_square(base, rhs)
-    residual = float(np.max(np.abs(base @ v_hat - rhs)))
-    return ExamResult(v_hat=v_hat, queries_used=len(queries),
-                      kind="exact_hinge", residual=residual)
 
 
 def _tangent_frame(alpha):
@@ -448,6 +386,7 @@ def approx_recover_sign(sign_oracle, d, config, prior=None, radius=None):
         raise ValueError(f"d must be >= 1, got {d}")
     spent = 0
     if prior is not None and d > 1:
+        # checked only for d > 1: a d = 1 ActiveTeacher re-exams at radius 0.0
         if radius is None or not radius > 0:
             raise ValueError(f"a prior needs a radius > 0, got {radius}")
         result, spent = _warm_sign_search(sign_oracle, d, config, prior,
@@ -583,27 +522,28 @@ def construct_virtual_learner(remote, config, prior=None, radius=None):
     """Run the exam appropriate to the student's feedback channel.
 
     Dispatches on feedback kind: identity/sigmoid use d basis queries and
-    a linear solve, hinge-value uses d query pairs, and sign feedback runs
-    the iterative direction search (requires config.known_norm).  prior
-    and radius warm-start the sign search (see approx_recover_sign); the
-    exact exams need no prior and ignore them.
+    a linear solve; hinge-value asks each basis query q and then -q, and
+    solves the differences as identity answers (2d queries); sign
+    feedback runs the iterative direction search (requires
+    config.known_norm).  prior and radius warm-start the sign search (see
+    approx_recover_sign); the exact exams need no prior and ignore them.
     """
     d = remote.dim
     kind = remote.feedback
-    if kind in ("identity", "sigmoid"):
-        queries = make_basis_queries(d, config.query_seed,
-                                     standard=config.standard_queries)
-        responses = np.array([remote.query(q) for q in queries.matrix])
-        return exact_recover_bijective(queries, responses, kind)
-    if kind == "hinge_value":
-        queries = make_paired_queries(d, config.query_seed,
-                                      standard=config.standard_queries)
-        responses = np.array([remote.query(q) for q in queries.matrix])
-        return exact_recover_hinge(queries, responses)
     if kind == "sign":
         return approx_recover_sign(remote.query, d, config, prior=prior,
                                    radius=radius)
-    raise ValueError(f"no exam protocol for feedback {kind!r}")
+    if kind not in ("identity", "sigmoid", "hinge_value"):
+        raise ValueError(f"no exam protocol for feedback {kind!r}")
+    queries = make_basis_queries(d, config.query_seed,
+                                 standard=config.standard_queries)
+    if kind != "hinge_value":
+        responses = [remote.query(q) for q in queries]
+        return exact_recover_bijective(queries, responses, kind)
+    # max(0, z) - max(0, -z) = z: each pair answers as the identity channel
+    diffs = [remote.query(q) - remote.query(-q) for q in queries]
+    result = exact_recover_bijective(queries, diffs, "identity")
+    return replace(result, queries_used=2 * d)
 
 
 def estimate_learning_rate(remote, seed):

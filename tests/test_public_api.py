@@ -93,6 +93,28 @@ def test_benchmark_hooks_resolve():
     assert callable(teachsim.samples_to_threshold)
 
 
+def test_every_package_definition_is_used_or_exported():
+    # a top-level def or class must be named, as an ast.Name or an
+    # ast.Attribute, in the package, a demo or perfbench, or be exported
+    modules = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+    used, defined = set(teachsim.__all__), []
+    for path in (modules + glob.glob(os.path.join(ROOT, "demos", "*.py"))
+                 + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))):
+        tree = _parse(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        if path in modules:
+            defined += [(os.path.basename(path), node.name)
+                        for node in tree.body
+                        if isinstance(node, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef,
+                                             ast.ClassDef))]
+    assert [(mod, name) for mod, name in defined if name not in used] == []
+
+
 def _unused_imports(path):
     tree = _parse(path)
     bound = {}

@@ -637,6 +637,34 @@ def test_black_box_teachers_use_only_the_protocol(monkeypatch):
         assert remote.white_box_reads == 0
 
 
+def test_one_dimensional_sign_teacher_reexams_with_a_zero_radius(
+        monkeypatch):
+    # at d = 1 the last exam certifies the direction exactly, so an
+    # exam_period=1 teacher passes its prior with radius 0.0; the exam
+    # checks the radius only when a chart exists, and spends one query
+    eta, loss = 0.1, "logistic"
+    mode = TeachingMode.rescalable_pool(np.array([[1.0], [-0.5]]),
+                                        np.array([1.0, -1.0]))
+    exams = []
+    exam = teachsim.teachers.construct_virtual_learner
+
+    def recording_exam(remote, config, prior=None, radius=None):
+        result = exam(remote, config, prior=prior, radius=radius)
+        exams.append((prior is not None, radius, result.queries_used))
+        return result
+
+    monkeypatch.setattr(teachsim.teachers, "construct_virtual_learner",
+                        recording_exam)
+    teacher = ActiveTeacher(np.array([3.0]), mode, eta, loss, exam_period=1)
+    remote = RemoteLearner(LearnerState(w=np.array([-0.7]), eta=eta,
+                                        loss=loss, feedback="sign"),
+                           random_map(1, "identity", 0))
+    for _ in range(5):
+        assert teacher.step(remote) is not None
+    assert exams == [(False, None, 1)] + [(True, 0.0, 1)] * 4
+    assert remote.query_samples == 5
+
+
 def test_selection_et_report_is_taken_at_the_teachers_estimate():
     gen = np.random.default_rng(14)
     d, eta, loss = 4, 0.05, "logistic"
