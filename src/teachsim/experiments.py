@@ -401,12 +401,8 @@ def _build_mode(config, train_x, train_y):
                                             gamma_grid=grid,
                                             norm_bound=config.norm_bound)
     if kind == "synthesis":
-        if config.norm_bound is None:
-            raise ValueError("synthesis mode requires norm_bound")
         return TeachingMode.synthesis(config.norm_bound)
     if kind == "combination":
-        if config.norm_bound is None:
-            raise ValueError("combination mode requires norm_bound")
         return TeachingMode.combination(train_x.T, config.norm_bound)
     raise ValueError(f"unknown mode kind {kind!r}")
 

@@ -4,7 +4,7 @@ The teacher works in R^d, the student in R^s, connected by a one-to-one
 linear map G (a student sees G x where the teacher wrote x).  Everything
 downstream leans on two facts: <w, G x> = <G^T w, x>, and the extreme
 eigenvalues of G^T G control how fast teaching can contract.  This module
-holds the map itself, its spectral summary, and the span geometry used by
+holds the map itself, its spectral summary, and the span basis used by
 combination-style teaching.
 """
 
@@ -12,8 +12,9 @@ import numpy as np
 
 from .rng import KEY_MAP, substream
 
-# Relative eigenvalue cutoff of the span's rank decision.
-_RANK_CUTOFF = 1e-10
+# Relative singular-value cutoff of the span's rank decision, the square
+# root of a 1e-10 cutoff on the eigenvalues of D D^T.
+_RANK_CUTOFF = 1e-5
 
 # A map is treated as conjugate-orthogonal when max|G^T G - I| is below this.
 _UNITARY_TOL = 1e-10
@@ -151,42 +152,23 @@ def random_map(dim, kind, seed):
     raise ValueError(f"unknown map kind {kind!r}")
 
 
-class SpanMetric:
-    """Geometry induced by the span of a candidate set.
+def span_basis(candidates):
+    """Orthonormal basis of the span of a d x k candidate matrix D.
 
-    Holds the orthogonal projector P = B B^T onto span(D) for a d x k
-    matrix D whose columns are the candidates.  B holds the eigenvectors
-    of the d x d Gram matrix D D^T whose eigenvalues exceed 1e-10 times
-    the largest, an orthonormal basis of the span; the rank is the number
-    kept.
+    Returns the left singular vectors of D whose singular values exceed
+    1e-5 times the largest, as a d x r matrix, or None when r = d and the
+    span is all of R^d.  An SVD of D itself keeps the basis accurate to
+    rounding however the singular values spread; the Gram matrix D D^T
+    would square that spread.
     """
-
-    def __init__(self, candidates):
-        d_mat = np.asarray(candidates, dtype=np.float64)
-        if d_mat.ndim != 2:
-            raise ValueError(
-                f"candidate matrix must be 2-D, got shape {d_mat.shape}")
-        if not np.all(np.isfinite(d_mat)):
-            raise ValueError("candidate matrix has non-finite entries")
-        vals, vecs = np.linalg.eigh(d_mat @ d_mat.T)
-        top = vals[-1] if vals.size else 0.0
-        if top <= 0.0:
-            raise ValueError("all candidates are zero vectors")
-        keep = vals > _RANK_CUTOFF * top
-        basis = vecs[:, keep]
-        projector = basis @ basis.T
-        self.projector = 0.5 * (projector + projector.T)
-        self.rank = int(np.count_nonzero(keep))
-        self.dim = d_mat.shape[0]
-
-    def __repr__(self):
-        return f"SpanMetric(dim={self.dim}, rank={self.rank})"
-
-
-def project_span(metric, v):
-    """Orthogonal projection of v onto the candidate span."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (metric.dim,):
+    d_mat = np.asarray(candidates, dtype=np.float64)
+    if d_mat.ndim != 2:
         raise ValueError(
-            f"project_span expects a vector of dimension {metric.dim}")
-    return metric.projector @ v
+            f"candidate matrix must be 2-D, got shape {d_mat.shape}")
+    if not np.all(np.isfinite(d_mat)):
+        raise ValueError("candidate matrix has non-finite entries")
+    u, svals, _ = np.linalg.svd(d_mat, full_matrices=False)
+    if not svals.size or svals[0] <= 0.0:
+        raise ValueError("all candidates are zero vectors")
+    rank = int(np.count_nonzero(svals > _RANK_CUTOFF * svals[0]))
+    return None if rank == d_mat.shape[0] else u[:, :rank]

@@ -7,9 +7,9 @@ learner v and the target v*:
     score(x, y) = eta^2 beta^2 ||x||^2 - 2 eta beta <v - v*, x>,
 
 where beta is the loss derivative at the predicted value.  Minimizing the
-score over a pool, a synthesis ball, or a span gives the greedy teaching
-step; the white-box variant reads the student directly, the black-box
-variant reads an exam-maintained estimate.
+score over a pool or a synthesis ball, inside a span or not, gives the
+greedy teaching step; the white-box variant reads the student directly,
+the black-box variant reads an exam-maintained estimate.
 """
 
 import math
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exam import RecoveryConfig, construct_virtual_learner
-from .feature_space import SpanMetric, conjugate_apply, project_span
+from .feature_space import conjugate_apply, span_basis
 from .learners import _check_labels, _loss_grad_kernel, loss_grad
 from .rng import KEY_SELECT, substream
 
@@ -58,7 +58,7 @@ def _positive(norm_bound, optional=False):
     """norm_bound as a float, refusing zero, negatives and NaN."""
     if optional and norm_bound is None:
         return None
-    if not norm_bound > 0:
+    if norm_bound is None or not norm_bound > 0:
         raise ValueError(f"norm_bound must be > 0, got {norm_bound}")
     return float(norm_bound)
 
@@ -67,8 +67,10 @@ def _positive(norm_bound, optional=False):
 class TeachingMode:
     """What the teacher is allowed to feed the student.
 
-    synthesis: any x with ||x|| <= norm_bound.
-    combination: any x in span(candidates) with ||x|| <= norm_bound.
+    synthesis: any x with ||x|| <= norm_bound, inside the span of basis
+      when one is set.  A combination mode is a synthesis mode whose
+      basis is an orthonormal basis of span(candidates), None when the
+      candidates span all of R^d.
     pool: one of the candidate pairs, as is.
     rescalable_pool: a candidate pair scaled by any gamma in gamma_grid
       (subject to norm_bound when one is set).
@@ -78,7 +80,7 @@ class TeachingMode:
     pool_x: np.ndarray | None = None
     pool_y: np.ndarray | None = None
     gamma_grid: np.ndarray | None = None
-    span: SpanMetric | None = None
+    basis: np.ndarray | None = None
     pool_norms_sq: np.ndarray | None = None
 
     @classmethod
@@ -87,12 +89,8 @@ class TeachingMode:
 
     @classmethod
     def combination(cls, candidates, norm_bound):
-        norm_bound = _positive(norm_bound)
-        d_mat = np.asarray(candidates, dtype=np.float64)
-        if d_mat.ndim != 2:
-            raise ValueError("candidates must be a (d, k) matrix of columns")
-        return cls(tag="combination", norm_bound=norm_bound,
-                   span=SpanMetric(d_mat))
+        return cls(tag="synthesis", norm_bound=_positive(norm_bound),
+                   basis=span_basis(candidates))
 
     @classmethod
     def pool(cls, pool_x, pool_y, norm_bound=None):
@@ -458,53 +456,41 @@ def _synthesis_search(v, v_star, direction, norm_bound, eta, loss):
 
 
 def select_synthesis(v, v_star, mode, eta, loss):
-    """Best synthesized example gamma * (v - v*) within the norm ball.
+    """Best synthesized example gamma * u within the norm ball.
 
-    The label for the square loss is the target's own prediction
-    <v*, x>; classification losses try both labels.  The search runs on
-    three scalars of the direction (see _synthesis_search): a closed form
-    for the square loss, a vectorized grid plus golden-section refinement
-    otherwise.
+    u is v - v*, or its projection B (B^T (v - v*)) when the mode carries
+    a span basis B.  A projection within 1e-12 of zero means the
+    remaining error is invisible inside the span, and teaching cannot
+    proceed unless ||v - v*|| itself is that small, which is done.  The
+    label for the square loss is the target's own prediction <v*, x>;
+    classification losses try both labels.  The search runs on three
+    scalars of u (see _synthesis_search): a closed form for the square
+    loss, a vectorized grid plus golden-section refinement otherwise.
     """
     if mode.tag != "synthesis":
         raise ValueError(
             f"select_synthesis needs a synthesis mode, got {mode.tag!r}")
     v = np.asarray(v, dtype=np.float64)
     v_star = np.asarray(v_star, dtype=np.float64)
-    return _synthesis_search(v, v_star, v - v_star, mode.norm_bound, eta,
-                             loss)
-
-
-def select_combination(v, v_star, mode, eta, loss):
-    """Synthesis search restricted to the candidate span.
-
-    The search direction is the projection of (v - v*) onto span(D); a
-    projection this close to zero means the remaining error is invisible
-    inside the span and teaching cannot proceed.  gamma is found by the
-    same three-scalar line search as select_synthesis, with
-    c = <v - v*, u> taken against the projected direction u.
-    """
-    if mode.tag != "combination":
-        raise ValueError(
-            f"select_combination needs a combination mode, got {mode.tag!r}")
-    v = np.asarray(v, dtype=np.float64)
-    v_star = np.asarray(v_star, dtype=np.float64)
-    for name, vec in (("virtual learner", v), ("target", v_star)):
-        gap = float(np.linalg.norm(project_span(mode.span, vec) - vec))
-        if gap > 1e-8 * (1.0 + float(np.linalg.norm(vec))):
-            warnings.warn(
-                f"{name} lies outside the combination span "
-                f"(distance {gap:.3e}); teaching may stall",
-                stacklevel=2)
-    direction = project_span(mode.span, v - v_star)
-    if float(np.linalg.norm(direction)) <= 1e-12:
-        # the square-loss closed form lands on the target to rounding, so
-        # a vanishing projection of a vanishing distance means done
-        if float(np.linalg.norm(v - v_star)) <= 1e-12:
-            raise TeachingComplete(
-                "virtual learner matches the target to 1e-12")
-        raise DegenerateDirectionError(
-            "teaching direction has no component in the candidate span")
+    basis = mode.basis
+    direction = v - v_star
+    if basis is not None:
+        for name, vec in (("virtual learner", v), ("target", v_star)):
+            gap = float(np.linalg.norm(basis @ (basis.T @ vec) - vec))
+            if gap > 1e-8 * (1.0 + float(np.linalg.norm(vec))):
+                warnings.warn(
+                    f"{name} lies outside the combination span "
+                    f"(distance {gap:.3e}); teaching may stall",
+                    stacklevel=2)
+        direction = basis @ (basis.T @ direction)
+        if float(np.linalg.norm(direction)) <= 1e-12:
+            # the square-loss closed form lands on the target to rounding,
+            # so a vanishing projection of a vanishing distance means done
+            if float(np.linalg.norm(v - v_star)) <= 1e-12:
+                raise TeachingComplete(
+                    "virtual learner matches the target to 1e-12")
+            raise DegenerateDirectionError(
+                "teaching direction has no component in the candidate span")
     return _synthesis_search(v, v_star, direction, mode.norm_bound, eta, loss)
 
 
@@ -512,11 +498,7 @@ def select_example(v, v_star, mode, eta, loss):
     """Dispatch selection on the teaching mode."""
     if mode.tag in ("pool", "rescalable_pool"):
         return select_pool(v, v_star, mode, eta, loss)
-    if mode.tag == "synthesis":
-        return select_synthesis(v, v_star, mode, eta, loss)
-    if mode.tag == "combination":
-        return select_combination(v, v_star, mode, eta, loss)
-    raise ValueError(f"unknown teaching mode {mode.tag!r}")
+    return select_synthesis(v, v_star, mode, eta, loss)
 
 
 def random_select(mode, gen):

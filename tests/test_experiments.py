@@ -184,6 +184,22 @@ def test_run_experiment_stops_at_tolerance():
     assert rows[-1].param_dist <= 1e-4
 
 
+@pytest.mark.parametrize("teacher", ["omniscient", "active"])
+def test_full_rank_combination_runs_the_synthesis_trace(teacher):
+    # the training rows span R^d, so combination teaching is synthesis:
+    # same rows, bit for bit, on every loss/feedback pair and map kind
+    for loss, feedback in (("square", "identity"), ("logistic", "sigmoid"),
+                           ("hinge", "sign")):
+        for map_kind in ("identity", "unitary", "general"):
+            rows = [run_experiment(ExperimentConfig(
+                dataset=DatasetSpec(d=8, n=60, seed=3), map_kind=map_kind,
+                map_seed=4, loss=loss, feedback=feedback, eta=0.05,
+                teacher=teacher, stop_tol=0.0, mode_kind=kind,
+                norm_bound=5.0, iterations=25, run_seed=1))
+                for kind in ("synthesis", "combination")]
+            assert rows[0] == rows[1], (loss, feedback, map_kind)
+
+
 def test_random_teacher_runs_its_whole_budget():
     # stopping is each teacher's own rule: the random baseline has none,
     # so the harness runs it to the end even inside the stop ball, while

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from teachsim.feature_space import (FeatureMap, SpanMetric, apply_map,
-                                    conjugate_apply, project_span,
-                                    random_map, spectral_stats)
+from teachsim.feature_space import (FeatureMap, apply_map, conjugate_apply,
+                                    random_map, span_basis, spectral_stats)
 
 
 def test_feature_map_rejects_singular_and_nonsquare():
@@ -88,38 +87,54 @@ def test_random_map_unknown_kind():
         random_map(3, "banana", 0)
 
 
-def test_span_metric_projector_against_lstsq_oracle():
+def _projector(basis, d):
+    """B B^T for a span basis B, the identity when span_basis returned
+    None for a span that is all of R^d."""
+    return np.eye(d) if basis is None else basis @ basis.T
+
+
+def test_span_basis_projection_against_lstsq_oracle():
     gen = np.random.default_rng(2)
     for trial in range(15):
         d = int(gen.integers(2, 10))
         k = int(gen.integers(1, d + 1))
-        basis = gen.standard_normal((d, k))
-        metric = SpanMetric(basis)
+        cands = gen.standard_normal((d, k))
+        basis = span_basis(cands)
+        assert (basis is None) == (k == d)
         v = gen.standard_normal(d)
         # oracle: least-squares projection onto the column span
-        coef, *_ = np.linalg.lstsq(basis, v, rcond=None)
-        expected = basis @ coef
-        np.testing.assert_allclose(project_span(metric, v), expected,
+        coef, *_ = np.linalg.lstsq(cands, v, rcond=None)
+        expected = cands @ coef
+        np.testing.assert_allclose(_projector(basis, d) @ v, expected,
                                    rtol=1e-9, atol=1e-9)
 
 
-def test_span_metric_rank_with_duplicate_columns():
-    basis = np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]]).T
+def test_span_basis_rank_with_duplicate_columns():
+    cands = np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0]])
     # columns: (1,0,1), (2,0,2), (1,0,1) span a single direction
-    metric = SpanMetric(basis.T)
-    assert metric.rank == 1
+    assert span_basis(cands).shape == (3, 1)
+
+
+def test_span_basis_checks_its_candidates():
+    with pytest.raises(ValueError, match="2-D"):
+        span_basis(np.ones(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        span_basis(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    for cands in (np.zeros((3, 2)), np.zeros((3, 0))):
+        with pytest.raises(ValueError, match="zero vectors"):
+            span_basis(cands)
 
 
 def test_projection_is_idempotent_and_inside_span():
     gen = np.random.default_rng(4)
-    basis = gen.standard_normal((8, 4))
-    metric = SpanMetric(basis)
+    cands = gen.standard_normal((8, 4))
+    basis = span_basis(cands)
     v = gen.standard_normal(8)
-    p = project_span(metric, v)
-    np.testing.assert_allclose(project_span(metric, p), p, rtol=1e-9,
+    p = basis @ (basis.T @ v)
+    np.testing.assert_allclose(basis @ (basis.T @ p), p, rtol=1e-9,
                                atol=1e-12)
-    # residual orthogonal to every basis column
-    np.testing.assert_allclose(basis.T @ (v - p), np.zeros(4), atol=1e-9)
+    # residual orthogonal to every candidate column
+    np.testing.assert_allclose(cands.T @ (v - p), np.zeros(4), atol=1e-9)
 
 
 def _kxk_projector(candidates):
@@ -149,7 +164,7 @@ def _span(gen, d, k, rank):
     return cands
 
 
-def test_span_metric_matches_the_kxk_gram_projector():
+def test_span_basis_matches_the_kxk_gram_projector():
     # rank-deficient spans, repeated columns and zero columns, with k
     # below, at and above d
     gen = np.random.default_rng(11)
@@ -160,9 +175,23 @@ def test_span_metric_matches_the_kxk_gram_projector():
         cands = _span(gen, d, k, rank)
         if not np.any(cands):
             continue
-        metric = SpanMetric(cands)
+        basis = span_basis(cands)
         expected, expected_rank = _kxk_projector(cands)
-        assert metric.rank == expected_rank
-        assert np.max(np.abs(metric.projector - expected)) <= 1e-12
-        np.testing.assert_array_equal(metric.projector, metric.projector.T)
+        assert (d if basis is None else basis.shape[1]) == expected_rank
+        assert np.max(np.abs(_projector(basis, d) - expected)) <= 1e-12
 
+
+def test_span_basis_is_accurate_on_ill_conditioned_spans():
+    # singular values spread over 1e-2..1e2: a Gram matrix would square
+    # the spread, the SVD of D keeps B B^T within rounding of U U^T
+    gen = np.random.default_rng(12)
+    for trial in range(400):
+        d = int(gen.integers(1, 12))
+        k = max(1, d + (-1, 0, 1 + d)[trial % 3])
+        rank = int(gen.integers(1, min(d, k) + 1))
+        u, _ = np.linalg.qr(gen.standard_normal((d, rank)))
+        v, _ = np.linalg.qr(gen.standard_normal((k, rank)))
+        cands = (u * 10.0 ** gen.uniform(-2.0, 2.0, rank)) @ v.T
+        basis = span_basis(cands)
+        assert (d if basis is None else basis.shape[1]) == rank
+        assert np.max(np.abs(_projector(basis, d) - u @ u.T)) <= 1e-12

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import teachsim.teachers
 from teachsim.exam import RemoteLearner
-from teachsim.feature_space import (SpanMetric, conjugate_apply,
-                                    project_span, random_map,
+from teachsim.feature_space import (conjugate_apply, random_map,
                                     spectral_stats)
 from teachsim.learners import LearnerState, loss_grad
 from teachsim.teachers import (ActiveTeacher, DegenerateDirectionError,
@@ -17,8 +16,7 @@ from teachsim.teachers import (ActiveTeacher, DegenerateDirectionError,
                                TeachingComplete, TeachingMode,
                                default_gamma_grid, et_condition_check,
                                omniscient_objective,
-                               random_select, select_combination,
-                               select_example, select_pool,
+                               random_select, select_example, select_pool,
                                select_synthesis)
 
 
@@ -295,16 +293,16 @@ def test_synthesis_search_never_worse_than_per_point_grid(
     if mode_kind == "synthesis":
         mode = TeachingMode.synthesis(norm_bound)
         u = v - v_star
-        select = select_synthesis
     else:
         mode = TeachingMode.combination(
             gen.standard_normal((d, int(gen.integers(1, d + 1)))), norm_bound)
-        u = project_span(mode.span, v - v_star)
+        basis = mode.basis
+        u = (v - v_star if basis is None
+             else basis @ (basis.T @ (v - v_star)))
         assume(float(np.linalg.norm(u)) > 1e-12)
-        select = select_combination
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # v, v* off the span is fine here
-        sel = select(v, v_star, mode, eta, loss)
+        sel = select_synthesis(v, v_star, mode, eta, loss)
     best, err = _per_point_grid_best(v, v_star, u, norm_bound, eta, loss)
     assert sel.objective <= best + 4.0 * err
     assert float(np.linalg.norm(sel.x)) <= norm_bound * (1.0 + 1e-12)
@@ -319,14 +317,13 @@ def test_combination_projects_direction_into_span():
     d = 6
     cands = gen.standard_normal((d, 3))
     mode = TeachingMode.combination(cands, norm_bound=50.0)
-    span = SpanMetric(cands)
+    basis = mode.basis
     # build v, v* inside the span so the warning path stays quiet
     v = cands @ gen.standard_normal(3)
     v_star = cands @ gen.standard_normal(3)
-    sel = select_combination(v, v_star, mode, 0.05, "square")
+    sel = select_synthesis(v, v_star, mode, 0.05, "square")
     # chosen example must lie in the candidate span
-    from teachsim.feature_space import project_span
-    np.testing.assert_allclose(project_span(span, sel.x), sel.x,
+    np.testing.assert_allclose(basis @ (basis.T @ sel.x), sel.x,
                                rtol=0, atol=1e-8)
     # and with square loss the step still zeroes the in-span distance
     beta = loss_grad("square", float(v @ sel.x), sel.y)
@@ -341,18 +338,75 @@ def test_combination_degenerate_direction_raises():
     v_star = np.array([0.0, -1.0])  # difference orthogonal to the span
     with pytest.warns(UserWarning):
         with pytest.raises(DegenerateDirectionError):
-            select_combination(v, v_star, mode, 0.1, "square")
+            select_synthesis(v, v_star, mode, 0.1, "square")
 
 
 def test_combination_at_target_completes_instead_of_degenerating():
     # one square-loss step lands on the target to rounding; the next call
-    # must report completion, not a direction outside the span
+    # must report completion, not a direction outside the span.  The span
+    # is rank-deficient (a full one takes the synthesis rule) and holds v*
     gen = np.random.default_rng(5)
-    cands = gen.standard_normal((4, 6))
+    cands = gen.standard_normal((4, 2)) @ gen.standard_normal((2, 6))
     mode = TeachingMode.combination(cands, norm_bound=1e3)
-    v_star = gen.standard_normal(4)
+    assert mode.basis.shape == (4, 2)
+    v_star = cands @ gen.standard_normal(6)
     with pytest.raises(TeachingComplete):
-        select_combination(v_star + 1e-14, v_star, mode, 0.1, "square")
+        select_synthesis(v_star + 1e-14, v_star, mode, 0.1, "square")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(loss=st.sampled_from(("square", "logistic", "hinge")),
+       d=st.integers(1, 10), extra=st.integers(0, 12),
+       seed=st.integers(0, 2 ** 32 - 1), log_eta=st.floats(-4.0, 0.0),
+       log_bound=st.floats(-1.0, 2.0),
+       gap=st.sampled_from((1.0, 1e-3, 1e-11)))
+def test_full_rank_combination_is_synthesis_bit_for_bit(
+        loss, d, extra, seed, log_eta, log_bound, gap):
+    gen = np.random.default_rng(seed)
+    eta, norm_bound = 10.0 ** log_eta, 10.0 ** log_bound
+    combination = TeachingMode.combination(
+        gen.standard_normal((d, d + extra)), norm_bound)
+    assume(combination.basis is None)
+    v = gen.standard_normal(d)
+    v_star = v + gap * gen.standard_normal(d)
+    got = select_example(v, v_star, combination, eta, loss)
+    want = select_example(v, v_star, TeachingMode.synthesis(norm_bound),
+                          eta, loss)
+    assert got.x.tobytes() == want.x.tobytes()
+    for field in ("y", "gamma", "objective"):
+        assert (np.float64(getattr(got, field)).tobytes()
+                == np.float64(getattr(want, field)).tobytes())
+
+
+def test_every_ball_selection_reaches_select_synthesis(monkeypatch):
+    # the benchmark tracer times the module global select_synthesis, so
+    # synthesis and both kinds of combination step must call it
+    calls = {"synthesis": 0, "pool": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        fn_name = f"select_{name}"
+        monkeypatch.setattr(teachsim.teachers, fn_name,
+                            counted(name, getattr(teachsim.teachers, fn_name)))
+    gen = np.random.default_rng(16)
+    d = 5
+    low_rank = gen.standard_normal((d, 2)) @ gen.standard_normal((2, 9))
+    modes = (TeachingMode.synthesis(10.0),
+             TeachingMode.combination(gen.standard_normal((d, 9)), 10.0),
+             TeachingMode.combination(low_rank, 10.0))
+    assert modes[1].basis is None and modes[2].basis.shape == (d, 2)
+    for i, mode in enumerate(modes, start=1):
+        # v* and the student inside the span keep the warnings quiet
+        v_star = low_rank @ gen.standard_normal(9)
+        rem = _pool_remote(low_rank @ gen.standard_normal(9))
+        teacher = OmniscientTeacher(v_star, mode, eta=0.05, loss="square")
+        assert teacher.step(rem) is not None
+        assert calls == {"synthesis": i, "pool": 0}
 
 
 def test_et_condition_window():
@@ -407,6 +461,11 @@ def test_mode_validation():
         with pytest.raises(ValueError, match="norm_bound must be > 0"):
             TeachingMode.rescalable_pool(np.ones((3, 2)), np.ones(3),
                                          norm_bound=bound)
+    for bound in (None, 0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="norm_bound must be > 0"):
+            TeachingMode.synthesis(bound)
+        with pytest.raises(ValueError, match="norm_bound must be > 0"):
+            TeachingMode.combination(np.eye(2), bound)
     assert TeachingMode.pool(np.ones((3, 2)), np.ones(3),
                              norm_bound=2).norm_bound == 2.0
 
