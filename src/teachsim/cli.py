@@ -14,16 +14,12 @@ import os
 import shlex
 import sys
 
-from .config import (SCENARIO_KINDS, ConfigError, apply_master_seed,
-                     load_config, write_manifest)
-from .exam import RankDeficientError
-from .experiments import (TEACHER_KINDS, TraceFormatError, TrainingError,
-                          _build_data, exponential_fit, read_trace,
-                          run_experiment, run_forgetting_scenario,
-                          run_multi_teacher, samples_to_threshold,
-                          write_tabular, write_trace)
-from .learners import SaturationError
+# Only numpy-free modules at the top: report, plot, --help and --version
+# never load numpy.  run and datagen import the config loader and the
+# runners inside their functions.
 from .svgchart import write_chart
+from .traces import (TraceFormatError, exponential_fit, read_trace,
+                     samples_to_threshold, write_trace)
 
 _EXIT_CONFIG = 2
 _EXIT_RUNTIME = 3
@@ -88,6 +84,8 @@ def _thread_budget(n_jobs):
 
 def _execute(config, scenario):
     """Run a scenario; returns {artifact label: trace rows}."""
+    from .experiments import (run_experiment, run_forgetting_scenario,
+                              run_multi_teacher)
     if scenario.kind == "standard":
         return {"trace": run_experiment(config)}
     if scenario.kind == "forgetting":
@@ -98,6 +96,7 @@ def _execute(config, scenario):
 
 
 def _write_outputs(out_dir, config, scenario, results, command):
+    from .config import write_manifest
     os.makedirs(out_dir, exist_ok=True)
     artifacts = {}
     for label, rows in results.items():
@@ -111,6 +110,7 @@ def _write_outputs(out_dir, config, scenario, results, command):
 
 def _run_one_seed(job):
     """Worker for the multi-seed sweep (must stay picklable)."""
+    from .config import apply_master_seed
     config, scenario, master, out_dir, command = job
     cfg, scn = apply_master_seed(config, scenario, master)
     results = _execute(cfg, scn)
@@ -119,6 +119,8 @@ def _run_one_seed(job):
 
 
 def _cmd_datagen(args, command):
+    from .config import load_config
+    from .experiments import _build_data, write_tabular
     config, _ = load_config(args.config, _overrides_from_args(args))
     features, labels = _build_data(config)
     out_dir = os.path.dirname(os.path.abspath(args.out))
@@ -130,6 +132,7 @@ def _cmd_datagen(args, command):
 
 
 def _cmd_run(args, command):
+    from .config import load_config
     config, scenario = load_config(args.config, _overrides_from_args(args))
     if args.seeds is not None:
         masters = _parse_seed_range(args.seeds)
@@ -228,12 +231,10 @@ def _build_parser():
     p.add_argument("--seeds", help="inclusive master seed range A..B; "
                    "writes per-seed subdirectories (TEACHSIM_THREADS caps "
                    "the process fan-out)")
-    p.add_argument("--scenario", choices=SCENARIO_KINDS,
-                   help="scenario override")
+    p.add_argument("--scenario", help="scenario override")
     p.add_argument("--sigma-forget", type=float, dest="sigma_forget",
                    help="forgetting noise scale override")
-    p.add_argument("--teacher", choices=TEACHER_KINDS,
-                   help="teacher kind override")
+    p.add_argument("--teacher", help="teacher kind override")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("plot", help="render traces to an SVG chart")
@@ -250,6 +251,18 @@ def _build_parser():
     return parser
 
 
+def _config_error():
+    from .config import ConfigError
+    return ConfigError
+
+
+def _runtime_errors():
+    from .exam import RankDeficientError
+    from .experiments import TrainingError
+    from .learners import SaturationError
+    return TrainingError, RankDeficientError, SaturationError, ValueError
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -260,17 +273,18 @@ def main(argv=None):
     except _CliError as exc:
         print(f"error[{exc.kind}]: {exc}", file=sys.stderr)
         return exc.code
-    except ConfigError as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
     except TraceFormatError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return _EXIT_IO
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return _EXIT_IO
-    except (TrainingError, RankDeficientError, SaturationError,
-            ValueError) as exc:
+    # An except expression is evaluated only when an exception reaches
+    # it, so these numpy-loading imports run on the error path alone.
+    except _config_error() as exc:
+        print(f"error[config]: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
+    except _runtime_errors() as exc:
         message = " ".join(str(exc).split())
         print(f"error[runtime]: {message}", file=sys.stderr)
         return _EXIT_RUNTIME

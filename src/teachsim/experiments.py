@@ -1,4 +1,4 @@
-"""Experiment harness: datasets, optimal targets, teaching runs, traces.
+"""Experiment harness: datasets, optimal targets and teaching runs.
 
 A run wires the pieces together: generate or ingest a dataset, train the
 target v* the teacher steers toward, build the feature map and the
@@ -21,6 +21,11 @@ from .rng import (KEY_DATA, KEY_INIT, KEY_SELECT, KEY_SPLIT, derive_seed,
                   substream)
 from .teachers import (ActiveTeacher, LazyTeacher, OmniscientTeacher,
                        RandomTeacher, TeachingMode)
+from .traces import TraceFormatError, TraceRow
+from . import traces  # loaded by the line above: no package lookup
+
+# The benchmark tracer spans experiments.read_trace and .write_trace.
+read_trace, write_trace = traces.read_trace, traces.write_trace
 
 TEACHER_KINDS = ("random", "omniscient", "lazy", "active")
 
@@ -31,10 +36,6 @@ _TEACHER_STREAM = {kind: i for i, kind in enumerate(TEACHER_KINDS)}
 
 class TrainingError(RuntimeError):
     """Target optimization failed to reach its tolerance."""
-
-
-class TraceFormatError(ValueError):
-    """A trace file violates the expected column layout."""
 
 
 @dataclass(frozen=True)
@@ -99,25 +100,6 @@ class ExperimentConfig:
             raise ValueError("metrics_period must be >= 1")
         if not (0.0 <= self.test_fraction < 1.0):
             raise ValueError("test_fraction must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    """State of a run after `iteration` teaching steps."""
-    iteration: int
-    objective: float
-    param_dist: float
-    test_accuracy: float | None
-    teaching_samples: int
-    query_samples: int
-
-
-@dataclass(frozen=True)
-class ExponentialFit:
-    """Least-squares exponential-decay summary of a trace."""
-    rate: float
-    log_rmse: float
-    n_points: int
 
 
 def gen_regression_data(spec):
@@ -583,82 +565,3 @@ def run_multi_teacher(config, n_teachers, switch_points):
     switch_at = {p: teachers[i + 1] for i, p in enumerate(points)}
     return _run_loop(cfg, teachers[0], remote, evaluator,
                      switch_at=switch_at)
-
-
-def exponential_fit(rows):
-    """Fit param_dist ~ C * rate^iteration by least squares in log space.
-
-    Rows at or below 1e-12 are excluded (they sit on the noise floor);
-    at least 10 usable rows are required.
-    """
-    pts = [(r.iteration, r.param_dist) for r in rows if r.param_dist > 1e-12]
-    if len(pts) < 10:
-        raise ValueError(
-            f"need at least 10 rows above the floor to fit, got {len(pts)}")
-    xs = np.array([p[0] for p in pts], dtype=np.float64)
-    ys = np.log(np.array([p[1] for p in pts], dtype=np.float64))
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    rmse = float(np.sqrt(np.mean((ys - pred) ** 2)))
-    return ExponentialFit(rate=float(np.exp(slope)), log_rmse=rmse,
-                          n_points=len(pts))
-
-
-def samples_to_threshold(rows, fraction=0.1):
-    """Teaching samples spent when param_dist first drops to the given
-    fraction of its initial value; None if the trace never gets there."""
-    if not rows:
-        raise ValueError("empty trace")
-    target = fraction * rows[0].param_dist
-    for row in rows:
-        if row.param_dist <= target:
-            return row.teaching_samples
-    return None
-
-
-_TRACE_COLUMNS = ("iteration", "objective", "param_dist", "test_accuracy",
-                  "teaching_samples", "query_samples")
-
-
-def write_trace(path, rows):
-    """Write a trace as delimited text, 17 significant digits per float."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRACE_COLUMNS)
-        for r in rows:
-            acc = "" if r.test_accuracy is None else f"{r.test_accuracy:.17g}"
-            writer.writerow([str(r.iteration), f"{r.objective:.17g}",
-                             f"{r.param_dist:.17g}", acc,
-                             str(r.teaching_samples),
-                             str(r.query_samples)])
-
-
-def read_trace(path):
-    """Read a trace file written by write_trace (floats bit-equal)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise TraceFormatError(f"{path}: empty trace file")
-        if header != _TRACE_COLUMNS:
-            raise TraceFormatError(
-                f"{path}: header {header} != expected {_TRACE_COLUMNS}")
-        rows = []
-        for r, raw in enumerate(reader, start=2):
-            if len(raw) != len(_TRACE_COLUMNS):
-                raise TraceFormatError(
-                    f"{path}: row {r} has {len(raw)} fields, expected "
-                    f"{len(_TRACE_COLUMNS)}")
-            try:
-                rows.append(TraceRow(
-                    iteration=int(raw[0]),
-                    objective=float(raw[1]),
-                    param_dist=float(raw[2]),
-                    test_accuracy=None if raw[3] == "" else float(raw[3]),
-                    teaching_samples=int(raw[4]),
-                    query_samples=int(raw[5])))
-            except ValueError as exc:
-                raise TraceFormatError(
-                    f"{path}: row {r}: {exc}") from None
-    return rows

@@ -8,6 +8,7 @@ import pytest
 
 from teachsim.cli import main
 from teachsim.experiments import ingest_tabular, read_trace
+from teachsim.traces import TraceRow, write_trace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -219,3 +220,83 @@ def test_importing_the_cli_loads_no_process_pool():
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
         timeout=60, check=True)
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("flag", ["--scenario", "--teacher"])
+def test_unknown_scenario_or_teacher_override_is_a_config_error(
+        flag, cfg_path, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg_path, "--out", str(out),
+                 flag, "nope"]) == 2
+    key = "scenario.kind" if flag == "--scenario" else "teacher.kind"
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[config]: {key}: got 'nope', expected one "
+                          f"of (")
+    assert not out.exists()
+
+
+def _fresh_env():
+    """Environment of a new interpreter that imports teachsim from ./src."""
+    path = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))
+        if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _fresh_python(code, cwd):
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env=_fresh_env(), capture_output=True, text=True,
+                          timeout=60, check=True)
+
+
+def _write_decaying_trace(path, iterations):
+    rows = [TraceRow(iteration=t, objective=1.0, param_dist=0.9 ** i,
+                     test_accuracy=None, teaching_samples=i, query_samples=0)
+            for i, t in enumerate(iterations)]
+    write_trace(str(path), rows)
+
+
+def test_importing_the_package_or_the_cli_loads_no_numpy(tmp_path):
+    proc = _fresh_python(
+        "import sys, teachsim; a = 'numpy' in sys.modules; "
+        "import teachsim.cli; print(a, 'numpy' in sys.modules)", tmp_path)
+    assert proc.stdout == "False False\n"
+
+
+@pytest.mark.parametrize("argv", [["report", "t.csv"],
+                                  ["plot", "t.csv", "--out", "t.svg",
+                                   "--log-y"],
+                                  ["--version"], ["run", "--help"]])
+def test_report_plot_help_and_version_run_without_numpy(argv, tmp_path):
+    _write_decaying_trace(tmp_path / "t.csv", range(12))
+    proc = _fresh_python(
+        "import runpy, sys\n"
+        f"sys.argv = ['teachsim'] + {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('teachsim.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print('exit', code, 'numpy', 'numpy' in sys.modules)\n", tmp_path)
+    assert proc.stdout.splitlines()[-1] == "exit 0 numpy False"
+    assert proc.stderr == ""
+
+
+def test_looking_up_an_experiment_name_loads_no_config_or_cli(tmp_path):
+    proc = _fresh_python(
+        "import sys, teachsim; teachsim.ExperimentConfig; "
+        "print(sorted(m for m in ('teachsim.config', 'teachsim.cli') "
+        "if m in sys.modules), 'teachsim.experiments' in sys.modules)",
+        tmp_path)
+    assert proc.stdout == "[] True\n"
+
+
+def test_report_on_a_trace_without_a_decay_span_prints_n_a(tmp_path):
+    # every usable row at iteration 0: the fit has no slope to find
+    _write_decaying_trace(tmp_path / "t.csv", [0] * 11)
+    proc = subprocess.run(
+        [sys.executable, "-m", "teachsim.cli", "report", "t.csv"],
+        cwd=tmp_path, env=_fresh_env(), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0
+    assert "decay rate per iteration n/a" in proc.stdout
+    assert proc.stderr == ""

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from teachsim.experiments import (DatasetSpec, ExperimentConfig, TraceRow,
-                                  TraceFormatError, TrainingError,
+from teachsim.experiments import (DatasetSpec, ExperimentConfig,
+                                  TrainingError,
                                   _train_hinge, _train_logistic,
-                                  exponential_fit,
                                   gen_classification_data,
                                   gen_regression_data, ingest_tabular,
-                                  read_trace,
                                   run_experiment, run_forgetting_scenario,
-                                  run_multi_teacher, samples_to_threshold,
-                                  train_optimal, write_tabular, write_trace)
+                                  run_multi_teacher,
+                                  train_optimal, write_tabular)
+from teachsim.traces import (TraceFormatError, TraceRow, exponential_fit,
+                             read_trace, samples_to_threshold, write_trace)
 
 
 def test_regression_data_shapes_and_exact_labels():

@@ -11,6 +11,8 @@ import glob
 import importlib.util
 import os
 import re
+import subprocess
+import sys
 import types
 
 import teachsim
@@ -91,6 +93,26 @@ def test_benchmark_hooks_resolve():
     # perfbench/run.py: from teachsim import read_trace, samples_to_threshold
     assert callable(teachsim.read_trace)
     assert callable(teachsim.samples_to_threshold)
+
+
+def test_tracer_installs_after_a_bare_package_import():
+    # The tracer reads modules from sys.modules once `from teachsim import
+    # cli, exam, teachers` has run, so that lookup must load all of them.
+    code = ("import importlib.util, sys, teachsim\n"
+            "spec = importlib.util.spec_from_file_location('tracer', "
+            "sys.argv[1])\n"
+            "tracer = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(tracer)\n"
+            "tracer.Tracer('t').install()\n")
+    path = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))
+        if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code,
+         os.path.join(ROOT, "perfbench", "tracer.py")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_every_package_definition_is_used_or_exported():
