@@ -2,9 +2,11 @@
 
 A sign channel reveals one bit per query, so weights cannot be read off
 by solving a linear system.  Instead the exam walks the unit sphere:
-each round bisects along tangent directions and provably shrinks the
-angle to the student's true direction by a fixed factor.  Combined with
-a disclosed norm, that yields the weights to any requested accuracy.
+one bisection along tangent directions runs until the requested
+accuracy is certified, and each checkpoint it passes on the way
+provably shrinks the angle to the student's true direction by a further
+fixed factor.  Combined with a disclosed norm, that yields the weights
+to any requested accuracy.
 Per-iteration exams then make teaching nearly as sample-efficient as
 knowing the weights outright.
 
@@ -37,11 +39,11 @@ def sin_angle(a, b):
 
 sines = [sin_angle(alpha, v_true) for alpha in res.alpha_history]
 for k in range(min(6, len(sines))):
-    print(f"  round {k:2d}: sin(angle) {sines[k]:.2e}")
+    print(f"  checkpoint {k:2d}: sin(angle) {sines[k]:.2e}")
 if len(sines) > 8:
     print("  ...")
 for k in range(max(6, len(sines) - 2), len(sines)):
-    print(f"  round {k:2d}: sin(angle) {sines[k]:.2e}")
+    print(f"  checkpoint {k:2d}: sin(angle) {sines[k]:.2e}")
 err = float(np.linalg.norm(res.v_hat - v_true))
 print(f"  final weight error {err:.2e} for requested 1e-4 "
       f"({remote.query_samples} queries)\n")

@@ -118,10 +118,15 @@ class RemoteLearner:
 class RecoveryConfig:
     """Knobs for virtual-learner construction.
 
-    eps_est: target bound on ||v_hat - G^T w|| for the sign branch.
+    eps_est: target bound on ||v_hat - G^T w|| for the sign exam, which
+      bisects until it certifies it.
     known_norm: ||G^T w||, which sign feedback cannot reveal.
-    contraction_rho: guaranteed per-round shrink factor of the direction
-      error's sine.
+    max_rounds: how many contraction checkpoints a cold sign exam
+      records in alpha_history; it does not stop the search.
+    contraction_rho: guaranteed shrink factor of the direction error's
+      sine from one checkpoint to the next.
+    query_seed, standard_queries: the exact exams' query directions, as
+      make_basis_queries takes its seed and standard arguments.
     """
     eps_est: float = 1e-6
     known_norm: float | None = None
@@ -131,11 +136,12 @@ class RecoveryConfig:
     standard_queries: bool = False
 
     def __post_init__(self):
-        if self.eps_est <= 0:
-            raise ValueError(f"eps_est must be > 0, got {self.eps_est}")
-        if self.known_norm is not None and self.known_norm <= 0:
+        if not 0 < self.eps_est < math.inf:  # NaN fails it too
             raise ValueError(
-                f"known_norm must be > 0 when given, got {self.known_norm}")
+                f"eps_est must be finite and > 0, got {self.eps_est}")
+        if self.known_norm is not None and not 0 < self.known_norm < math.inf:
+            raise ValueError(
+                f"known_norm must be finite and > 0, got {self.known_norm}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if not (0 < self.contraction_rho < 1):
@@ -152,8 +158,8 @@ class ExamResult:
     sigmoid channel, the inversion error: how far the rounding of each
     response can move F^-1(r), propagated through the query matrix.  The
     sign branch reports a certified bound on sin(angle) between the
-    estimated and true directions, plus the per-round direction history
-    for diagnostics.
+    estimated and true directions, plus the direction estimates it
+    recorded along the way (see approx_recover_sign) for diagnostics.
     """
     v_hat: np.ndarray
     queries_used: int
@@ -310,24 +316,20 @@ class _Chart:
         # sqrt(x . x), so every bit matches
         self.err = math.sqrt(self.half.dot(self.half))
 
-    def bisect(self, budget, done, stop_at_floats):
-        """Halve the widest free bracket until err <= 1e-15,
-        done(err, center) holds or budget probes are spent; with
-        stop_at_floats, also once it is down to adjacent floats.  A
-        bisection of coordinate j moves entry j of the state only.
-        """
+    def bisect(self, done):
+        """Halve the widest free bracket until err <= 1e-15, done(err,
+        center) holds or it is down to adjacent floats.  A bisection of
+        coordinate j moves entry j of the state only."""
         # the probe loop reads locals only
         oracle, rows, alpha0 = self.oracle, self.rows, self.alpha0
         lo, hi = self.lo, self.hi
         half, center, width = self.half, self.center, self.width
         err = self.err
         spent = 0
-        for _ in range(budget):
-            if err <= 1e-15 or done(err, center):
-                break
+        while err > 1e-15 and not done(err, center):
             j = int(width.argmax())
             mid = 0.5 * (lo[j] + hi[j])
-            if stop_at_floats and not lo[j] < mid < hi[j]:
+            if not lo[j] < mid < hi[j]:
                 break
             if oracle(rows[j] - mid * alpha0) >= 0:
                 lo[j] = mid
@@ -347,9 +349,9 @@ class _Chart:
         estimate = self.alpha0 + self.taus @ self.center
         return estimate / np.linalg.norm(estimate)
 
-    def result(self, norm, history):
-        """The exam: norm times the last of history, certified by err."""
-        return ExamResult(v_hat=norm * history[-1], queries_used=self.queries,
+    def result(self, norm, direction, history):
+        """The exam: norm times a unit direction, certified by err."""
+        return ExamResult(v_hat=norm * direction, queries_used=self.queries,
                           kind="approx_sign", angle_bound=self.err,
                           known_norm=norm, alpha_history=tuple(history))
 
@@ -365,11 +367,12 @@ def approx_recover_sign(sign_oracle, d, config, prior=None, radius=None):
         sin(angle(estimate, u)) <= ||p - center|| / sqrt(1 + ||p||^2),
 
     so E = sqrt(sum of squared bracket half-widths) certifies the
-    estimate alpha_0 + sum_j center_j tau_j.  Both searches stop once
-    norm * 2 * E <= eps_est (2 * E bounds the unit-vector chord, see
-    ExamResult.est_error) or E <= 1e-15, or when their probe budgets
-    run out.  The reported angle_bound is the final E; queries_used
-    counts every oracle call.
+    estimate alpha_0 + sum_j center_j tau_j.  Both searches are one
+    bisection that stops once norm * 2 * E <= eps_est (2 * E bounds the
+    unit-vector chord, see ExamResult.est_error), once E <= 1e-15, or
+    once the widest bracket is down to adjacent floats.  v_hat is norm
+    times the final estimate, the reported angle_bound is the final E,
+    and queries_used counts every oracle call.
 
     Without a prior the exam is cold (_cold_sign_search): it anchors at
     the coordinate-sign vector.  A prior is the caller's own estimate of
@@ -405,17 +408,18 @@ def _cold_sign_search(sign_oracle, d, config):
        >= 1 / sqrt(d) > 0, so the chart coordinates are bounded by
        sqrt(d-1) in norm.
     2. Probes at +-1e-13 first pin coordinates that are exactly zero (an
-       aligned start never moves, and converges in zero rounds; so does
-       d = 1, whose chart has no coordinates).
-    3. Round k bisects the per-coordinate brackets until the certified
-       chart error E_k satisfies E_k <= rho^k * L_k, where
-       L_k = max(0, ||center|| - E_k) is a certified lower bound on
-       ||p||.  Since sin(angle(alpha_0, u)) = ||p|| / sqrt(1 + ||p||^2),
-       that inequality is exactly the round-k contraction guarantee
-       sin_k <= rho^k * sin_0.
+       aligned start never moves and is done at once; so is d = 1, whose
+       chart has no coordinates).
+    3. Bisect until eps_est is certified.  Along the way checkpoint k
+       is the first E with E <= rho^k * L, where L = ||center|| - E is a
+       certified lower bound on ||p||.  Since sin(angle(alpha_0, u)) =
+       ||p|| / sqrt(1 + ||p||^2), that inequality is exactly the
+       contraction guarantee sin_k <= rho^k * sin_0.
 
-    Runs at most max_rounds rounds; alpha_history holds alpha_0 and the
-    estimate after each round.
+    alpha_history holds alpha_0 and the estimate at each checkpoint
+    k <= max_rounds the bisection passed.  The cap stops the record where
+    a sine measured as sqrt(1 - cos^2) loses its precision: past k = 60
+    at rho = 0.8 the sine can be near 1e-8.
     """
     norm = config.known_norm
     rho = config.contraction_rho
@@ -443,20 +447,19 @@ def _cold_sign_search(sign_oracle, d, config):
     # recorded initial estimate must be alpha0 itself.
     history = [alpha0]
     if all(pinned):
-        # True direction equals the initial estimate: done in 0 rounds.
-        return chart.result(norm, history)
+        # True direction equals the initial estimate: no bisection.
+        return chart.result(norm, alpha0, history)
 
-    def contracted(err, center):  # step 3's test, E_k <= rho^k * L_k
+    def done(err, center):
+        # record checkpoint k = len(history) each time step 3's test holds
         lower = math.sqrt(center.dot(center)) - err
-        return lower > 0 and err <= contraction * lower
+        while (len(history) <= config.max_rounds and lower > 0
+               and err <= rho ** len(history) * lower):
+            history.append(chart.estimate())
+        return norm * 2.0 * err <= config.eps_est
 
-    for k in range(1, config.max_rounds + 1):
-        contraction = rho ** k
-        chart.bisect(64 * m, contracted, stop_at_floats=False)
-        history.append(chart.estimate())
-        if norm * 2.0 * chart.err <= config.eps_est or chart.err <= 1e-15:
-            break
-    return chart.result(norm, history)
+    chart.bisect(done)
+    return chart.result(norm, chart.estimate(), history)
 
 
 def _warm_sign_search(sign_oracle, d, config, prior, radius):
@@ -476,15 +479,13 @@ def _warm_sign_search(sign_oracle, d, config, prior, radius):
        attempt.  That cap also stops an orthogonal prior: the anchor
        check answers it ">= 0", but <u, alpha_0> = 0 makes p unbounded
        and every answer the same.
-    3. Bisect until the cold search's final test holds, within its
-       budget of 64 (d - 1) probes or until adjacent floats.
+    3. Bisect until eps_est is certified, as the cold search does.
 
-    There are no rounds: the cold contraction rule is relative to ||p||,
-    which a good prior makes tiny, so it would bisect towards the 1e-15
-    floor.  Nor is there a pinning pass: exact zero coordinates halve
-    like any other.  Every bracket is certified by answers alone, so a
-    poor prior costs queries but never correctness.  alpha_history is
-    (alpha_0, final estimate).
+    There are no checkpoints: the cold contraction rule is relative to
+    ||p||, which a good prior makes tiny.  Nor is there a pinning pass:
+    exact zero coordinates halve like any other.  Every bracket is
+    certified by answers alone, so a poor prior costs queries but never
+    correctness.  alpha_history is (alpha_0, final estimate).
     """
     scale = float(np.linalg.norm(prior))
     if not (math.isfinite(scale) and scale > 0):
@@ -511,11 +512,9 @@ def _warm_sign_search(sign_oracle, d, config, prior, radius):
         lo[j], hi[j] = (inner, t) if outward else (t, inner)
     chart.open(lo, hi, [False] * m)
 
-    def certified(err, center):
-        return norm * 2.0 * err <= config.eps_est
-
-    chart.bisect(64 * m, certified, stop_at_floats=True)
-    return chart.result(norm, (alpha0, chart.estimate())), chart.queries
+    chart.bisect(lambda err, center: norm * 2.0 * err <= config.eps_est)
+    estimate = chart.estimate()
+    return chart.result(norm, estimate, (alpha0, estimate)), chart.queries
 
 
 def construct_virtual_learner(remote, config, prior=None, radius=None):

@@ -36,7 +36,7 @@ def _sin_angle(a, b):
 
 
 def test_01_loss_gradients_match_central_differences():
-    t0 = time.time()
+    t0 = time.perf_counter()
     gen = np.random.default_rng(101)
     h = 1e-6
     worst = 0.0
@@ -55,14 +55,14 @@ def test_01_loss_gradients_match_central_differences():
             g = loss_grad(loss, z, y)
             worst = max(worst, abs(fd - g) / max(abs(g), 1e-8))
             done += 1
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     _verdict(1, "analytic feedback gradients match finite differences",
              worst <= 1e-5 and dt < 1.0,
              "max rel err %.1e, %.2fs" % (worst, dt))
 
 
 def test_02_exam_reconstructs_hidden_weights_exactly():
-    t0 = time.time()
+    t0 = time.perf_counter()
     d = 50
     worst = 0.0
     pairs = (("identity", "square", d),
@@ -85,7 +85,7 @@ def test_02_exam_reconstructs_hidden_weights_exactly():
             worst = max(worst, float(np.linalg.norm(res.v_hat - v)))
             assert rem.query_samples == expect_queries, (
                 feedback, rem.query_samples)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     _verdict(2, "exams rebuild the conjugate weights through general maps",
              worst <= 1e-8 and dt < 2.0,
              "max err %.1e, query counts exact, %.2fs" % (worst, dt))
@@ -114,7 +114,7 @@ def test_03_one_step_objective_equals_distance_change():
 
 
 def test_04_active_teacher_matches_omniscient_under_unitary_maps():
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     setups = (("regression", "square", "identity", 1e-4, 0.1),
               ("classification", "logistic", "sigmoid", 0.05, 0.0))
@@ -134,14 +134,14 @@ def test_04_active_teacher_matches_omniscient_under_unitary_maps():
             gap = max(abs(a.param_dist - b.param_dist)
                       for a, b in zip(om, ac))
             worst = max(worst, gap)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     _verdict(4, "black-box teaching tracks the white-box trajectory",
              worst <= 1e-6 and dt < 5.0,
              "max per-iteration gap %.1e, %.2fs" % (worst, dt))
 
 
 def test_05_targeted_teaching_converges_exponentially_and_beats_sgd():
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_rate = 0.0
     worst_rmse = 0.0
     ratio_hits = 0
@@ -168,7 +168,7 @@ def test_05_targeted_teaching_converges_exponentially_and_beats_sgd():
         assert need is not None
         if got is None or got >= 3 * need:
             ratio_hits += 1
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = (worst_rate <= 0.99 and worst_rmse < 0.1
           and ratio_hits >= 9 and dt < 30.0)
     _verdict(5, "guided runs decay exponentially; plain SGD needs >= 3x",
@@ -177,7 +177,7 @@ def test_05_targeted_teaching_converges_exponentially_and_beats_sgd():
 
 
 def test_06_single_exam_tracking_error_is_never_amplified():
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = -np.inf
     eps_worst = 0.0
     d = 50
@@ -201,7 +201,7 @@ def test_06_single_exam_tracking_error_is_never_amplified():
             drift = float(np.linalg.norm(
                 ts.conjugate_apply(fmap, rem.state.w) - teacher.virtual.v))
             worst = max(worst, drift - eps0)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     _verdict(6, "one exam then open-loop tracking stays within its residual",
              worst <= 1e-9,
              "max drift-eps0 %.1e, eps0 max %.1e, %.2fs"
@@ -209,7 +209,7 @@ def test_06_single_exam_tracking_error_is_never_amplified():
 
 
 def test_07_sign_feedback_search_contracts_at_certified_rate():
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst_excess = -np.inf
     worst_final = 0.0
     for d in (2, 10, 50):
@@ -232,7 +232,7 @@ def test_07_sign_feedback_search_contracts_at_certified_rate():
                                    s - (0.8 ** i * sines[0] + 1e-12))
             worst_final = max(worst_final,
                               float(np.linalg.norm(res.v_hat - v)))
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = worst_excess <= 0.0 and worst_final <= 1e-3 and dt < 10.0
     _verdict(7, "sign-only exams contract the angle at the certified rate",
              ok, "excess %.1e, final err max %.1e, %.2fs"
@@ -240,7 +240,7 @@ def test_07_sign_feedback_search_contracts_at_certified_rate():
 
 
 def test_08_sign_feedback_teaching_sample_efficiency():
-    t0 = time.time()
+    t0 = time.perf_counter()
     never = 1e9
     vals = {t: [] for t in ("omniscient", "active", "random")}
     for seed in range(10):
@@ -258,7 +258,7 @@ def test_08_sign_feedback_teaching_sample_efficiency():
             n = ts.samples_to_threshold(rows, fraction=0.1)
             vals[teacher].append(float(n) if n is not None else never)
     med = {t: float(np.median(xs)) for t, xs in vals.items()}
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = (med["active"] <= 1.5 * med["omniscient"]
           and med["active"] <= med["random"] / 3.0)
     _verdict(8, "teaching through sign exams stays sample-efficient",
@@ -290,7 +290,7 @@ def test_09_learning_rate_estimated_from_minimal_interactions():
 
 
 def test_10_reexamining_teacher_rides_out_forgetting_noise():
-    t0 = time.time()
+    t0 = time.perf_counter()
     base = dict(loss="square", feedback="identity", eta=0.02,
                 iterations=400, stop_tol=0.0)
 
@@ -321,7 +321,7 @@ def test_10_reexamining_teacher_rides_out_forgetting_noise():
 
         ratios.append(plateau(traces["active"]) / plateau(traces["lazy"]))
     med = float(np.median(ratios))
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = worst_quiet <= 1e-9 and med <= 0.2 and dt < 30.0
     _verdict(10, "re-exams beat open-loop tracking under forgetting noise",
              ok, "quiet gap %.1e, plateau ratio median %.3f, %.1fs"
@@ -407,9 +407,9 @@ def test_12_manifest_reruns_are_byte_identical_and_scale_runs_fit(tmp_path):
         dataset=ts.DatasetSpec(task="classification", d=50, n=1000, seed=7),
         loss="square", feedback="identity", eta=1e-4, iterations=1000,
         run_seed=7, stop_tol=0.0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     traces = ts.run_forgetting_scenario(cfg, 0.1)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     ok = identical and len(traces) == 4 and dt < 10.0
     _verdict(12, "manifest reruns are byte-identical; full scale fits budget",
              ok, "%d trace file(s) identical, 4-teacher run %.1fs"

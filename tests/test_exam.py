@@ -341,16 +341,17 @@ def test_sign_exam_error_within_its_certificate(d, map_kind, prior_kind,
     err = float(np.linalg.norm(res.v_hat - true_v))
     assert err <= res.est_error() + 1e-12 * norm
     assert _sine(res.v_hat, true_v) <= res.angle_bound + 1e-12
+    # every exam, cold or warm, certifies the eps_est target
+    assert norm * 2.0 * res.angle_bound <= cfg.eps_est
     if prior is None:
         return
-    # a warm search that keeps its anchor is the exam, and certifies the
-    # eps_est target; one that gives up leaves the cold search to run
+    # a warm search that keeps its anchor is the exam; one that gives up
+    # leaves the cold search to run
     warm, spent = _warm_sign_search(_sign_remote(w, fmap).query, d, cfg,
                                     prior, radius)
     if warm is not None:
         assert spent == res.queries_used
         np.testing.assert_array_equal(warm.v_hat, res.v_hat)
-        assert norm * 2.0 * res.angle_bound <= cfg.eps_est
         assert len(res.alpha_history) == 2
     else:
         cold = construct_virtual_learner(_sign_remote(w, fmap), cfg)
@@ -358,6 +359,14 @@ def test_sign_exam_error_within_its_certificate(d, map_kind, prior_kind,
         np.testing.assert_array_equal(res.v_hat, cold.v_hat)
     if prior_kind in ("antipodal", "orthogonal"):
         assert warm is None
+
+
+@pytest.mark.parametrize("key", ("eps_est", "known_norm"))
+@pytest.mark.parametrize("bad", (0.0, -1.0, float("nan"), float("inf")))
+def test_recovery_config_rejects_non_positive_or_non_finite(key, bad):
+    # a NaN eps_est would let the sign search run to the float floor
+    with pytest.raises(ValueError, match=key):
+        RecoveryConfig(**{key: bad})
 
 
 def test_sign_exam_prior_needs_a_radius():
