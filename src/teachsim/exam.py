@@ -287,20 +287,35 @@ class _Chart:
     coordinate p_j = <u, tau_j> / <u, alpha0>.  ``open`` takes a bracket
     per coordinate, ``bisect`` halves the widest until a stopping rule
     holds, and ``err``, the norm of the half-widths, certifies them.
+
+    Every probe is built in one preallocated buffer, ``probe``:
+    np.multiply and then np.subtract, each with ``out=``, round every
+    entry exactly as the expression rows[j] - t * alpha0 does (one
+    product, then one difference), so the oracle sees the same bits
+    without two fresh arrays per probe.  The oracle must not keep the
+    buffer past its call.  Through RemoteLearner.query a probe then costs
+    one apply_map and one respond, whose ndarray.dot runs the same BLAS
+    gemv and ddot as ``@`` on a contiguous vector, so every answer keeps
+    its bits too.
     """
 
     def __init__(self, sign_oracle, alpha0, queries):
         self.oracle = sign_oracle
         self.alpha0 = alpha0
         self.taus = _tangent_frame(alpha0)
-        # tau_j as a contiguous row: the probe for coordinate j reads one row
-        self.rows = np.ascontiguousarray(self.taus.T)
+        # tau_j as a contiguous row: the probe for coordinate j reads one
+        # row, and a list hands it out without making a view per probe
+        self.rows = list(np.ascontiguousarray(self.taus.T))
+        self.probe = np.empty_like(alpha0)
         self.queries = queries
 
     def above(self, j, t):
         """Whether p_j >= t, from the probe tau_j - t * alpha0."""
         self.queries += 1
-        return self.oracle(self.rows[j] - t * self.alpha0) >= 0
+        probe = self.probe
+        np.multiply(self.alpha0, t, out=probe)
+        np.subtract(self.rows[j], probe, out=probe)
+        return self.oracle(probe) >= 0
 
     def open(self, lo, hi, pinned):
         """Start from the brackets lo[j] <= p_j <= hi[j]; a pinned one
@@ -316,30 +331,46 @@ class _Chart:
         # sqrt(x . x), so every bit matches
         self.err = math.sqrt(self.half.dot(self.half))
 
-    def bisect(self, done):
-        """Halve the widest free bracket until err <= 1e-15, done(err,
-        center) holds or it is down to adjacent floats.  A bisection of
-        coordinate j moves entry j of the state only."""
+    def bisect(self, scale, eps, checkpoint=None):
+        """Halve the widest free bracket until one of three stop rules
+        holds: scale * err <= eps; err <= 1e-15; or the bracket's
+        midpoint is not strictly inside it (its ends are adjacent floats).
+
+        A sign exam passes scale = norm * 2.0 and eps = eps_est, so the
+        first rule rounds exactly as norm * 2.0 * err <= eps_est does:
+        at norm 5 and eps_est 1e-6 it stops once err <= 1e-7.
+        checkpoint(err, center), if given, runs before every stop test,
+        the first on the opened brackets.  A bisection of coordinate j
+        moves entry j of the state only.
+        """
         # the probe loop reads locals only
-        oracle, rows, alpha0 = self.oracle, self.rows, self.alpha0
+        oracle, rows, alpha0, probe = (self.oracle, self.rows, self.alpha0,
+                                       self.probe)
+        multiply, subtract = np.multiply, np.subtract
         lo, hi = self.lo, self.hi
         half, center, width = self.half, self.center, self.width
         err = self.err
         spent = 0
-        while err > 1e-15 and not done(err, center):
-            j = int(width.argmax())
-            mid = 0.5 * (lo[j] + hi[j])
-            if not lo[j] < mid < hi[j]:
+        while err > 1e-15:
+            if checkpoint is not None:
+                checkpoint(err, center)
+            if scale * err <= eps:
                 break
-            if oracle(rows[j] - mid * alpha0) >= 0:
-                lo[j] = mid
+            j = int(width.argmax())
+            a, b = lo[j], hi[j]
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                break
+            multiply(alpha0, mid, out=probe)
+            subtract(rows[j], probe, out=probe)
+            if oracle(probe) >= 0:
+                a = lo[j] = mid
             else:
-                hi[j] = mid
+                b = hi[j] = mid
             spent += 1
-            gap = hi[j] - lo[j]
-            width[j] = gap
+            width[j] = gap = b - a
             half[j] = 0.5 * gap
-            center[j] = 0.5 * (lo[j] + hi[j])
+            center[j] = 0.5 * (a + b)
             err = math.sqrt(half.dot(half))
         self.err = err
         self.queries += spent
@@ -450,15 +481,14 @@ def _cold_sign_search(sign_oracle, d, config):
         # True direction equals the initial estimate: no bisection.
         return chart.result(norm, alpha0, history)
 
-    def done(err, center):
+    def checkpoint(err, center):
         # record checkpoint k = len(history) each time step 3's test holds
         lower = math.sqrt(center.dot(center)) - err
         while (len(history) <= config.max_rounds and lower > 0
                and err <= rho ** len(history) * lower):
             history.append(chart.estimate())
-        return norm * 2.0 * err <= config.eps_est
 
-    chart.bisect(done)
+    chart.bisect(norm * 2.0, config.eps_est, checkpoint)
     return chart.result(norm, chart.estimate(), history)
 
 
@@ -512,7 +542,7 @@ def _warm_sign_search(sign_oracle, d, config, prior, radius):
         lo[j], hi[j] = (inner, t) if outward else (t, inner)
     chart.open(lo, hi, [False] * m)
 
-    chart.bisect(lambda err, center: norm * 2.0 * err <= config.eps_est)
+    chart.bisect(norm * 2.0, config.eps_est)
     estimate = chart.estimate()
     return chart.result(norm, estimate, (alpha0, estimate)), chart.queries
 

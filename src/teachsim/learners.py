@@ -35,9 +35,16 @@ def _check_feedback(kind):
 
 
 def _check_labels(loss, y):
-    """Check the loss kind and, for margin losses, the +-1 labels."""
+    """Check the loss kind and, for margin losses, the +-1 labels.
+
+    A Python float of exactly +-1.0, the label of every margin-loss
+    teaching step, passes without building an array; any other label
+    takes the array check.
+    """
     _check_loss(loss)
     if loss in ("logistic", "hinge"):
+        if type(y) is float and (y == 1.0 or y == -1.0):
+            return
         y_arr = np.asarray(y)
         if not np.all(np.abs(y_arr) == 1):
             raise ValueError(
@@ -169,25 +176,37 @@ class LearnerState:
 
 
 def respond(learner, x_tilde):
-    """Feedback F(<w, x~>) to a student-space query. Never mutates state."""
+    """Feedback F(<w, x~>) to a student-space query. Never mutates state.
+
+    For a contiguous x~, w.dot calls the same BLAS ddot as ``w @ x~``, so
+    the bits match, at about half the call overhead; any other layout
+    keeps ``@`` (see feature_space.apply_map).
+    """
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    if x_tilde.shape != learner.w.shape:
+    w = learner.w
+    if x_tilde.shape != w.shape:
         raise ValueError(
             f"query dimension {x_tilde.shape} != learner dimension "
-            f"{learner.w.shape}")
-    return feedback_value(learner.feedback, float(learner.w @ x_tilde))
+            f"{w.shape}")
+    z = w.dot(x_tilde) if x_tilde.flags.c_contiguous else w @ x_tilde
+    return feedback_value(learner.feedback, float(z))
 
 
-def sgd_step(learner, x_tilde, y):
-    """One gradient step on the training pair (x~, y)."""
+def _sgd_weights(learner, x_tilde, y):
+    """The weights after one gradient step on (x~, y)."""
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     if x_tilde.shape != learner.w.shape:
         raise ValueError(
             f"example dimension {x_tilde.shape} != learner dimension "
             f"{learner.w.shape}")
     beta = loss_grad(learner.loss, float(learner.w @ x_tilde), y)
-    w_new = learner.w - learner.eta * beta * x_tilde
-    return replace(learner, w=w_new, t=learner.t + 1)
+    return learner.w - learner.eta * beta * x_tilde
+
+
+def sgd_step(learner, x_tilde, y):
+    """One gradient step on the training pair (x~, y)."""
+    return replace(learner, w=_sgd_weights(learner, x_tilde, y),
+                   t=learner.t + 1)
 
 
 def forgetting_step(learner, x_tilde, y):
@@ -195,11 +214,12 @@ def forgetting_step(learner, x_tilde, y):
 
     With sigma_forget == 0 this is exactly sgd_step (bit-identical).  The
     noise at step t depends only on (seed, t), so two teachers replaying
-    the same seed see the same perturbations at the same times.
+    the same seed see the same perturbations at the same times.  The
+    stepped weights plus the noise make one new state.
     """
-    stepped = sgd_step(learner, x_tilde, y)
     if learner.sigma_forget == 0.0:
-        return stepped
+        return sgd_step(learner, x_tilde, y)
+    w_new = _sgd_weights(learner, x_tilde, y)
     gen = substream(learner.seed, KEY_FORGET, learner.t)
     noise = gen.normal(0.0, learner.sigma_forget, size=learner.dim)
-    return replace(stepped, w=stepped.w + noise)
+    return replace(learner, w=w_new + noise, t=learner.t + 1)

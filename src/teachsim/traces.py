@@ -7,15 +7,14 @@ read traces and never teach, start without numpy.
 
 import csv
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TraceFormatError(ValueError):
     """A trace file violates the expected column layout."""
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """State of a run after `iteration` teaching steps."""
     iteration: int
     objective: float
@@ -25,8 +24,7 @@ class TraceRow:
     query_samples: int
 
 
-@dataclass(frozen=True)
-class ExponentialFit:
+class ExponentialFit(NamedTuple):
     """Least-squares exponential-decay summary of a trace."""
     rate: float
     log_rmse: float

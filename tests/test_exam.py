@@ -382,6 +382,66 @@ def test_sign_exam_prior_needs_a_radius():
     np.testing.assert_array_equal(zero.v_hat, cold.v_hat)
 
 
+def _sign_probe_case(case, d, gen):
+    """(prior, teacher-space target v) of one sign-exam path.
+
+    "cold": no prior.  "warm": a prior 1e-3 off the target.  "fallback":
+    a prior at 1e-3 radians from orthogonal to the target, which passes
+    the anchor check but puts every chart coordinate near 1e3, past the
+    gallop's cap, so the cold exam runs after all.  "pinned": a target
+    on its own sign pattern, which the cold pinning pass settles whole.
+    """
+    v = gen.standard_normal(d)
+    if case == "pinned":
+        return None, np.where(v >= 0, 1.0, -1.0)
+    if case == "cold":
+        return None, v
+    if case == "warm":
+        return v + 1e-3 * np.linalg.norm(v) * gen.standard_normal(d), v
+    noise = gen.standard_normal(d)
+    orthogonal = noise - (noise @ v) / (v @ v) * v
+    orthogonal *= np.linalg.norm(v) / np.linalg.norm(orthogonal)
+    return orthogonal + 1e-3 * v, v
+
+
+@pytest.mark.parametrize("case", ("cold", "warm", "fallback", "pinned"))
+@pytest.mark.parametrize("map_kind", ("identity", "general"))
+def test_each_sign_probe_is_one_remote_query(monkeypatch, case, map_kind):
+    # the benchmark tracer counts RemoteLearner.query calls and checks
+    # them against query_samples, so a sign exam must ask every probe
+    # through exactly one query call
+    calls = [0]
+    query = RemoteLearner.query
+
+    def counted(self, x):
+        calls[0] += 1
+        return query(self, x)
+
+    monkeypatch.setattr(RemoteLearner, "query", counted)
+    d = 12
+    gen = np.random.default_rng(7)
+    fmap = random_map(d, map_kind, 7)
+    prior, v = _sign_probe_case(case, d, gen)
+    w = v if map_kind == "identity" else np.linalg.solve(fmap.matrix.T, v)
+    cfg = RecoveryConfig(eps_est=1e-6, known_norm=float(np.linalg.norm(v)))
+    remote = _sign_remote(w, fmap)
+    res = construct_virtual_learner(remote, cfg, prior=prior, radius=1e-3)
+    assert calls[0] == res.queries_used == remote.query_samples
+    # and the exam took the path its case names
+    calls[0] = 0
+    cold = construct_virtual_learner(_sign_remote(w, fmap), cfg)
+    assert calls[0] == cold.queries_used
+    if case == "warm":
+        assert res.queries_used < cold.queries_used
+        assert len(res.alpha_history) == 2
+    elif case == "fallback":
+        assert res.queries_used > cold.queries_used + 1
+        np.testing.assert_array_equal(res.v_hat, cold.v_hat)
+    elif case == "pinned":
+        assert res.queries_used == d + 2 * (d - 1)
+        assert len(res.alpha_history) == 1
+
+
 def test_construct_virtual_learner_all_feedbacks():
     gen = np.random.default_rng(5)
     d = 7

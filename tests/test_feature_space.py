@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teachsim.feature_space import (FeatureMap, apply_map, conjugate_apply,
                                     random_map, span_basis, spectral_stats)
@@ -37,6 +39,34 @@ def test_adjoint_identity_random_maps():
         lhs = float(w @ apply_map(fmap, x))
         rhs = float(conjugate_apply(fmap, w) @ x)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+def _strided(gen, d, stride):
+    """A length-d vector whose entries sit stride elements apart; stride
+    0 broadcasts one number."""
+    if stride == 0:
+        return np.broadcast_to(gen.standard_normal(), (d,))
+    return gen.standard_normal(d * abs(stride))[::stride][:d]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(d=st.integers(1, 64),
+       map_kind=st.sampled_from(("identity", "unitary", "general")),
+       fortran=st.booleans(),
+       stride=st.sampled_from((1, 2, 3, -1, 0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_apply_map_matches_the_matmul_bit_for_bit(d, map_kind, fortran,
+                                                  stride, seed):
+    # apply_map takes ndarray.dot for its lower call overhead; it must
+    # round exactly as fmap.matrix @ x, whatever the layout of either,
+    # reversed (stride -1) and broadcast (stride 0) views included
+    gen = np.random.default_rng(seed)
+    fmap = random_map(d, map_kind, seed)
+    if fortran:
+        fmap = FeatureMap(np.asfortranarray(fmap.matrix),
+                          is_unitary=fmap.is_unitary)
+    x = _strided(gen, d, stride)
+    assert apply_map(fmap, x).tobytes() == (fmap.matrix @ x).tobytes()
 
 
 def test_spectral_stats_against_svd_oracle():

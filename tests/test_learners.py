@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teachsim.feature_space import FeatureMap
 from teachsim.learners import (FEEDBACKS, LearnerState, SaturationError,
                                _sigmoid, feedback_invert, feedback_value,
                                forgetting_step, loss_grad, loss_value,
                                respond, sgd_step)
+from teachsim.rng import KEY_FORGET, substream
 
 
 def test_loss_values_frozen_scalars():
@@ -83,6 +86,18 @@ def test_labels_validated_for_margin_losses():
         loss_grad("hinge", 0.1, 2.0)
     # square loss takes arbitrary real targets
     loss_value("square", 0.1, 0.37)
+    # a Python float label skips the array check only when it is
+    # exactly +-1.0; every near miss is still rejected
+    for loss in ("logistic", "hinge"):
+        for bad in (0.5, -0.0, math.nan, math.inf, -math.inf,
+                    math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0)):
+            with pytest.raises(ValueError, match="labels"):
+                loss_grad(loss, 0.1, bad)
+            with pytest.raises(ValueError, match="labels"):
+                loss_value(loss, 0.1, bad)
+        for good in (1.0, -1.0):
+            assert loss_grad(loss, 0.1, good) == loss_grad(
+                loss, 0.1, np.float64(good))
 
 
 def test_feedback_values():
@@ -179,6 +194,43 @@ def test_forgetting_noise_keyed_by_step_not_history():
     a2 = forgetting_step(a1, xa, 0.0)
     noise_a2 = a2.w - sgd_step(a1, xa, 0.0).w
     assert not np.allclose(noise_a, noise_a2)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(d=st.integers(1, 64), stride=st.sampled_from((1, 2, 3, -1, 0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_respond_matches_the_matmul_bit_for_bit(d, stride, seed):
+    # respond takes w.dot for its lower call overhead; on the identity
+    # channel its answer is the inner product itself, which must round
+    # exactly as w @ x, whatever the query's layout: strided, reversed
+    # (stride -1) or broadcast (stride 0)
+    gen = np.random.default_rng(seed)
+    st_ = LearnerState(w=gen.standard_normal(d), eta=0.1, loss="square",
+                       feedback="identity")
+    x = (np.broadcast_to(gen.standard_normal(), (d,)) if stride == 0
+         else gen.standard_normal(d * abs(stride))[::stride][:d])
+    got = respond(st_, x)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(st_.w @ x).tobytes()
+
+
+@pytest.mark.parametrize("loss,y", (("square", 0.37), ("logistic", -1.0),
+                                    ("hinge", 1.0)))
+def test_forgetting_step_is_sgd_step_plus_keyed_noise(loss, y):
+    # one new state: the SGD weights plus substream(seed, KEY_FORGET, t)
+    # noise, with t advanced by one and every other field kept
+    gen = np.random.default_rng(5)
+    st_ = LearnerState(w=gen.standard_normal(20), eta=0.05, loss=loss,
+                       feedback="sign", sigma_forget=0.01, seed=123, t=7)
+    x = gen.standard_normal(20)
+    got = forgetting_step(st_, x, y)
+    noise = substream(123, KEY_FORGET, 7).normal(0.0, 0.01, size=20)
+    expected = sgd_step(st_, x, y).w + noise
+    assert got.w.tobytes() == expected.tobytes()
+    assert got.t == st_.t + 1 == 8
+    assert (got.eta, got.loss, got.feedback, got.sigma_forget, got.seed) == (
+        st_.eta, st_.loss, st_.feedback, st_.sigma_forget, st_.seed)
+    assert not got.w.flags.writeable
 
 
 def test_respond_through_map_matches_manual():
