@@ -28,7 +28,7 @@ remote = ts.RemoteLearner(student, fmap)
 
 print("== angle contraction, one bit at a time ==")
 cfg = ts.RecoveryConfig(eps_est=1e-4, known_norm=float(np.linalg.norm(v_true)),
-                        query_seed=21, contraction_rho=0.8, max_rounds=60)
+                        query_seed=21)
 res = ts.construct_virtual_learner(remote, cfg)
 
 

@@ -34,6 +34,7 @@ _BOOKKEEPING = ("manifest", "artifacts")
 
 # Keys of older manifests that no field reads; loaded and ignored.
 _RETIRED = {("recovery", "delta"), ("recovery", "lam"),
+            ("recovery", "max_rounds"), ("recovery", "contraction_rho"),
             ("teacher", "adaptive_eps")}
 
 SCENARIO_KINDS = ("standard", "forgetting", "multi-teacher")
@@ -199,8 +200,6 @@ _SCHEMA = {
     },
     "recovery": {
         "eps_est": _Key("recovery", "eps_est", _float),
-        "max_rounds": _Key("recovery", "max_rounds", _int),
-        "contraction_rho": _Key("recovery", "contraction_rho", _float),
         "query_seed": _Key("recovery", "query_seed", _seed,
                            seed_label=KEY_QUERIES),
         "standard_queries": _Key("recovery", "standard_queries", _bool),

@@ -9,8 +9,9 @@ recovery into a problem about v = G^T w in the teacher's own space:
 * hinge-value F: each query q is asked with its negation, and since
   max(0, z) - max(0, -z) = z, the difference of the pair's answers is
   the identity channel's answer <v, q>;
-* sign F: only the direction of v is observable, so it is pinned down by
-  a deterministic sequence of halfspace probes and rescaled by the
+* sign F: only the direction of v is observable, so it is found by one
+  bisection of halfspace probes, whose count depends on d, the norm and
+  the accuracy asked for but not on the answers, and rescaled by the
   externally supplied norm of G^T w.
 
 All exams leave the student untouched; only teaching steps move w.
@@ -29,9 +30,12 @@ _RANK_TOL = 1e-10
 # Rounding slack of one feedback response, in units in the last place:
 # the student's sigmoid is an exp, an add and a divide.
 _RESPONSE_ULPS = 4.0
-# Tangent offsets below this are treated as exact hits when pinning
-# coordinates of the direction estimate.
-_PIN_OFFSET = 1e-13
+# A cold sign exam records checkpoint k once the direction error's sine
+# is certified to have shrunk by _CONTRACTION_RHO ** k, for k up to
+# _MAX_CHECKPOINTS: past k = 60 at rho = 0.8 the sine can be near 1e-8,
+# where one measured as sqrt(1 - cos^2) loses its precision.
+_CONTRACTION_RHO = 0.8
+_MAX_CHECKPOINTS = 60
 _GRAD_COORD_MIN = 1e-8
 
 
@@ -121,17 +125,11 @@ class RecoveryConfig:
     eps_est: target bound on ||v_hat - G^T w|| for the sign exam, which
       bisects until it certifies it.
     known_norm: ||G^T w||, which sign feedback cannot reveal.
-    max_rounds: how many contraction checkpoints a cold sign exam
-      records in alpha_history; it does not stop the search.
-    contraction_rho: guaranteed shrink factor of the direction error's
-      sine from one checkpoint to the next.
     query_seed, standard_queries: the exact exams' query directions, as
       make_basis_queries takes its seed and standard arguments.
     """
     eps_est: float = 1e-6
     known_norm: float | None = None
-    max_rounds: int = 60
-    contraction_rho: float = 0.8
     query_seed: int = 0
     standard_queries: bool = False
 
@@ -142,12 +140,6 @@ class RecoveryConfig:
         if self.known_norm is not None and not 0 < self.known_norm < math.inf:
             raise ValueError(
                 f"known_norm must be finite and > 0, got {self.known_norm}")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if not (0 < self.contraction_rho < 1):
-            raise ValueError(
-                f"contraction_rho must lie in (0, 1), got "
-                f"{self.contraction_rho}")
 
 
 @dataclass(frozen=True)
@@ -285,8 +277,11 @@ class _Chart:
     The probe tau_j - t * alpha0, tau_j a column of
     _tangent_frame(alpha0), answers sign(p_j - t) for the chart
     coordinate p_j = <u, tau_j> / <u, alpha0>.  ``open`` takes a bracket
-    per coordinate, ``bisect`` halves the widest until a stopping rule
-    holds, and ``err``, the norm of the half-widths, certifies them.
+    per coordinate (a cold exam opens all of them at +-sqrt(d - 1), a
+    warm one gallops them), ``bisect`` halves the widest until a
+    stopping rule holds, and ``err``, the norm of the half-widths,
+    certifies them.  ``queries`` counts every oracle call, the caller's
+    own included.
 
     Every probe is built in one preallocated buffer, ``probe``:
     np.multiply and then np.subtract, each with ``out=``, round every
@@ -317,24 +312,22 @@ class _Chart:
         np.subtract(self.rows[j], probe, out=probe)
         return self.oracle(probe) >= 0
 
-    def open(self, lo, hi, pinned):
-        """Start from the brackets lo[j] <= p_j <= hi[j]; a pinned one
-        counts in err but is never bisected."""
+    def open(self, lo, hi):
+        """Start from the brackets lo[j] <= p_j <= hi[j]."""
         self.lo, self.hi = lo, hi
         lo_a, hi_a = np.array(lo), np.array(hi)
         self.half = 0.5 * (hi_a - lo_a)
         self.center = 0.5 * (lo_a + hi_a)
-        # pinned coordinates have width -inf, so width.argmax() is the
-        # widest free bracket
-        self.width = np.where(pinned, -np.inf, hi_a - lo_a)
+        self.width = hi_a - lo_a
         # ||half|| as np.linalg.norm computes it for a vector,
         # sqrt(x . x), so every bit matches
         self.err = math.sqrt(self.half.dot(self.half))
 
     def bisect(self, scale, eps, checkpoint=None):
-        """Halve the widest free bracket until one of three stop rules
-        holds: scale * err <= eps; err <= 1e-15; or the bracket's
-        midpoint is not strictly inside it (its ends are adjacent floats).
+        """Halve the widest bracket, the lowest j on ties, until one of
+        three stop rules holds: scale * err <= eps; err <= 1e-15; or the
+        bracket's midpoint is not strictly inside it (its ends are
+        adjacent floats).
 
         A sign exam passes scale = norm * 2.0 and eps = eps_est, so the
         first rule rounds exactly as norm * 2.0 * err <= eps_est does:
@@ -391,116 +384,97 @@ def approx_recover_sign(sign_oracle, d, config, prior=None, radius=None):
     """Estimate v = G^T w from sign feedback plus its known norm.
 
     Sign responses expose only which side of each queried hyperplane the
-    direction u = v / ||v|| lies on.  The search bisects the chart
+    direction u = v / ||v|| lies on.  The exam bisects the chart
     coordinates p_j of u at a unit anchor alpha_0 with <u, alpha_0> > 0
     (see _Chart).  For any such anchor
 
         sin(angle(estimate, u)) <= ||p - center|| / sqrt(1 + ||p||^2),
 
     so E = sqrt(sum of squared bracket half-widths) certifies the
-    estimate alpha_0 + sum_j center_j tau_j.  Both searches are one
-    bisection that stops once norm * 2 * E <= eps_est (2 * E bounds the
-    unit-vector chord, see ExamResult.est_error), once E <= 1e-15, or
-    once the widest bracket is down to adjacent floats.  v_hat is norm
-    times the final estimate, the reported angle_bound is the final E,
-    and queries_used counts every oracle call.
+    estimate alpha_0 + sum_j center_j tau_j.  Every exam is an anchor, a
+    bracket per coordinate, then one bisection that stops once
+    norm * 2 * E <= eps_est (2 * E bounds the unit-vector chord, see
+    ExamResult.est_error), once E <= 1e-15, or once the widest bracket
+    is down to adjacent floats.  v_hat is norm times the final estimate,
+    the reported angle_bound is the final E, and queries_used counts
+    every oracle call.
 
-    Without a prior the exam is cold (_cold_sign_search): it anchors at
-    the coordinate-sign vector.  A prior is the caller's own estimate of
-    v, with radius > 0 the expected size of its chart coordinates; the
-    exam is then warm (_warm_sign_search) and anchors at
-    prior / ||prior||.  When that anchor fails its checks the cold
-    search runs after all, and its result also counts the warm
-    attempt's queries.  At d = 1 the chart has no coordinates, so a
-    prior has nothing to warm and the cold exam's one query settles it.
+    Without a prior the exam is cold:
+    1. Query the d coordinate signs s_i = sign(u_i) and anchor at
+       alpha_0 = s / sqrt(d).  Then <u, alpha_0> = ||u||_1 / sqrt(d)
+       >= 1 / sqrt(d) > 0, so ||p|| <= sqrt(d - 1).
+    2. Open every coordinate at [-sqrt(d - 1), sqrt(d - 1)].  The first
+       d - 1 halvings are tied, so they run in index order, each asking
+       p_j >= 0.  A halving halves its bracket whatever the answer, so
+       the exam asks d + N queries, with N set by d, norm and eps_est
+       alone (up to the rounding of the bracket ends).  At d = 1 the
+       chart has no coordinates and the one sign query settles it.
+    3. Along the way checkpoint k is the first E with E <= rho^k * L,
+       where rho = 0.8 and L = ||center|| - E is a certified lower bound
+       on ||p||.  Since sin(angle(alpha_0, u)) = ||p|| / sqrt(1 +
+       ||p||^2), that inequality is exactly the contraction guarantee
+       sin_k <= rho^k * sin_0.  alpha_history holds alpha_0 and the
+       estimate at each checkpoint k <= 60 the bisection passed.
+
+    A prior is the caller's own estimate of v, with radius > 0 the
+    expected size of its chart coordinates; the exam is then warm.  It
+    anchors at prior / ||prior|| and gallops its brackets (see _gallop).
+    There are no checkpoints: the cold contraction rule is relative to
+    ||p||, which a good prior makes tiny.  alpha_history is (alpha_0,
+    final estimate).  When the prior cannot anchor the chart the cold
+    exam runs after all, and queries_used also counts the warm attempt
+    (none for a zero or non-finite prior, which has no direction).  At
+    d = 1 a prior has nothing to warm.
     """
     if config.known_norm is None:
         raise ValueError("sign recovery requires known_norm")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    spent = 0
+    norm = config.known_norm
+    spent, brackets, checkpoint = 0, None, None
     if prior is not None and d > 1:
         # checked only for d > 1: a d = 1 ActiveTeacher re-exams at radius 0.0
         if radius is None or not radius > 0:
             raise ValueError(f"a prior needs a radius > 0, got {radius}")
-        result, spent = _warm_sign_search(sign_oracle, d, config, prior,
-                                          radius)
-        if result is not None:
-            return result
-    result = _cold_sign_search(sign_oracle, d, config)
-    return replace(result, queries_used=result.queries_used + spent)
+        scale = float(np.linalg.norm(prior))
+        if math.isfinite(scale) and scale > 0:
+            chart = _Chart(sign_oracle,
+                           np.asarray(prior, dtype=np.float64) / scale,
+                           queries=0)
+            brackets = _gallop(chart, radius)
+            spent = chart.queries
+    if brackets is None:
+        signs = np.array([1.0 if sign_oracle(e) >= 0 else -1.0
+                          for e in np.eye(d)])
+        chart = _Chart(sign_oracle, signs / math.sqrt(d), queries=spent + d)
+        bound = math.sqrt(d - 1)
+        brackets = [-bound] * (d - 1), [bound] * (d - 1)
+        # the contraction guarantee is anchored at the chart origin, so
+        # the recorded initial estimate must be alpha0 itself
+        history = [chart.alpha0]
 
+        def checkpoint(err, center):
+            # record checkpoint k = len(history) each time step 3's test
+            # holds
+            lower = math.sqrt(center.dot(center)) - err
+            while (len(history) <= _MAX_CHECKPOINTS and lower > 0
+                   and err <= _CONTRACTION_RHO ** len(history) * lower):
+                history.append(chart.estimate())
 
-def _cold_sign_search(sign_oracle, d, config):
-    """The sign search from nothing.
-
-    1. Query the d coordinate signs s_i = sign(u_i) and set
-       alpha_0 = s / sqrt(d).  Then <u, alpha_0> = ||u||_1 / sqrt(d)
-       >= 1 / sqrt(d) > 0, so the chart coordinates are bounded by
-       sqrt(d-1) in norm.
-    2. Probes at +-1e-13 first pin coordinates that are exactly zero (an
-       aligned start never moves and is done at once; so is d = 1, whose
-       chart has no coordinates).
-    3. Bisect until eps_est is certified.  Along the way checkpoint k
-       is the first E with E <= rho^k * L, where L = ||center|| - E is a
-       certified lower bound on ||p||.  Since sin(angle(alpha_0, u)) =
-       ||p|| / sqrt(1 + ||p||^2), that inequality is exactly the
-       contraction guarantee sin_k <= rho^k * sin_0.
-
-    alpha_history holds alpha_0 and the estimate at each checkpoint
-    k <= max_rounds the bisection passed.  The cap stops the record where
-    a sine measured as sqrt(1 - cos^2) loses its precision: past k = 60
-    at rho = 0.8 the sine can be near 1e-8.
-    """
-    norm = config.known_norm
-    rho = config.contraction_rho
-    signs = np.array([1.0 if sign_oracle(e) >= 0 else -1.0
-                      for e in np.eye(d)])
-    alpha0 = signs / math.sqrt(d)
-    chart = _Chart(sign_oracle, alpha0, queries=d)
-
-    m = d - 1
-    bound = math.sqrt(d - 1)
-    lo, hi, pinned = [-bound] * m, [bound] * m, [False] * m
-    # Zero-pinning pass: exact alignments resolve immediately.
-    for j in range(m):
-        below = chart.above(j, _PIN_OFFSET)
-        above = chart.above(j, -_PIN_OFFSET)
-        if not below and above:
-            lo[j], hi[j], pinned[j] = -_PIN_OFFSET, _PIN_OFFSET, True
-        elif below:
-            lo[j] = _PIN_OFFSET
-        else:
-            hi[j] = -_PIN_OFFSET
-    chart.open(lo, hi, pinned)
-
-    # The contraction guarantee is anchored at the chart origin, so the
-    # recorded initial estimate must be alpha0 itself.
-    history = [alpha0]
-    if all(pinned):
-        # True direction equals the initial estimate: no bisection.
-        return chart.result(norm, alpha0, history)
-
-    def checkpoint(err, center):
-        # record checkpoint k = len(history) each time step 3's test holds
-        lower = math.sqrt(center.dot(center)) - err
-        while (len(history) <= config.max_rounds and lower > 0
-               and err <= rho ** len(history) * lower):
-            history.append(chart.estimate())
-
+    chart.open(*brackets)
     chart.bisect(norm * 2.0, config.eps_est, checkpoint)
-    return chart.result(norm, chart.estimate(), history)
+    estimate = chart.estimate()
+    if checkpoint is None:
+        history = [chart.alpha0, estimate]
+    return chart.result(norm, estimate, history)
 
 
-def _warm_sign_search(sign_oracle, d, config, prior, radius):
-    """The sign search anchored at a prior, for d >= 2.
+def _gallop(chart, radius):
+    """The warm exam's brackets (lo, hi) on a chart anchored at a prior,
+    or None when the prior cannot anchor it.
 
-    Returns (result, queries spent); result is None when the prior
-    cannot anchor the chart and the cold search must run.
-
-    1. Anchor check: one query at alpha_0 = prior / ||prior||.  An
-       answer < 0 puts u on the far side of the tangent plane.  A zero
-       or non-finite prior has no direction and spends nothing.
+    1. Anchor check: one query at alpha_0.  An answer < 0 puts u on the
+       far side of the tangent plane.
     2. Galloping brackets (the exponential search of Bentley and Yao,
        1976): a probe at t = 0 names the side of p_j, then probes at
        t = r, 2r, 4r, ... on that side, with r = radius, answer
@@ -509,25 +483,15 @@ def _warm_sign_search(sign_oracle, d, config, prior, radius):
        attempt.  That cap also stops an orthogonal prior: the anchor
        check answers it ">= 0", but <u, alpha_0> = 0 makes p unbounded
        and every answer the same.
-    3. Bisect until eps_est is certified, as the cold search does.
 
-    There are no checkpoints: the cold contraction rule is relative to
-    ||p||, which a good prior makes tiny.  Nor is there a pinning pass:
-    exact zero coordinates halve like any other.  Every bracket is
-    certified by answers alone, so a poor prior costs queries but never
-    correctness.  alpha_history is (alpha_0, final estimate).
+    Every bracket is certified by answers alone, so a poor prior costs
+    queries but never correctness.  chart.queries counts the attempt.
     """
-    scale = float(np.linalg.norm(prior))
-    if not (math.isfinite(scale) and scale > 0):
-        return None, 0
-    norm = config.known_norm
-    alpha0 = np.asarray(prior, dtype=np.float64) / scale
-    if sign_oracle(alpha0) < 0:
-        return None, 1
-    chart = _Chart(sign_oracle, alpha0, queries=1)
-
-    m = d - 1
-    cap = math.sqrt(d - 1)
+    chart.queries += 1
+    if chart.oracle(chart.alpha0) < 0:
+        return None
+    m = len(chart.rows)
+    cap = math.sqrt(m)
     r = min(radius, cap)
     lo, hi = [0.0] * m, [0.0] * m
     for j in range(m):
@@ -538,13 +502,9 @@ def _warm_sign_search(sign_oracle, d, config, prior, radius):
         while abs(t) <= cap and chart.above(j, t) == outward:
             inner, t = t, 2.0 * t
         if abs(t) > cap:
-            return None, chart.queries
+            return None
         lo[j], hi[j] = (inner, t) if outward else (t, inner)
-    chart.open(lo, hi, [False] * m)
-
-    chart.bisect(norm * 2.0, config.eps_est)
-    estimate = chart.estimate()
-    return chart.result(norm, estimate, (alpha0, estimate)), chart.queries
+    return lo, hi
 
 
 def construct_virtual_learner(remote, config, prior=None, radius=None):

@@ -125,25 +125,6 @@ class TeachingMode:
 
 
 @dataclass(frozen=True)
-class VirtualLearner:
-    """Teacher-side estimate of G^T w.
-
-    est_error is the certified error of the last exam.  Propagating the
-    estimate through teaching steps does not update it, so under
-    forgetting or a general map it goes stale: it bounds ||v - G^T w||
-    only right after an exam, and a run-time check must not read it as
-    current.
-    """
-    v: np.ndarray
-    est_error: float
-
-    def __post_init__(self):
-        v = np.array(self.v, dtype=np.float64)
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
-
-
-@dataclass(frozen=True)
 class ETCheckReport:
     """Step-size window diagnostic.
 
@@ -592,10 +573,11 @@ class ActiveTeacher(_GreedyTeacher):
     coordinate, floored at that exam's certified error, both relative
     to the disclosed norm.
 
-    ``virtual.est_error`` is the certified error of the last exam.  Each
-    step propagates the estimate but carries that number over unchanged,
-    so it goes stale under forgetting or a general map; it is not a
-    bound on the current error.
+    ``virtual`` is the read-only estimate of G^T w: the last exam's v_hat,
+    propagated through every step since.  ``last_exam`` is that exam's
+    ExamResult; its est_error() bounds ||virtual - G^T w|| at the exam
+    only, since under forgetting or a general map the propagated
+    estimate drifts.
     """
 
     def __init__(self, v_star, mode, eta, loss, recovery=None,
@@ -604,6 +586,7 @@ class ActiveTeacher(_GreedyTeacher):
         self.recovery = recovery if recovery is not None else RecoveryConfig()
         self.exam_period = exam_period
         self.virtual = None
+        self.last_exam = None
         self._t = 0
         self._last_exam_t = None
         self._radius = None
@@ -632,15 +615,15 @@ class ActiveTeacher(_GreedyTeacher):
             result = self._sign_exam(remote)
         else:
             result = construct_virtual_learner(remote, self.recovery)
-        self.virtual = VirtualLearner(v=result.v_hat,
-                                      est_error=result.est_error())
+        self.last_exam = result
+        self.virtual = result.v_hat
         self._last_exam_t = self._t
 
     def _sign_exam(self, remote):
         """A sign exam, warm when the teacher already has an estimate."""
         norm = remote.disclosed_norm()
         cfg = replace(self.recovery, known_norm=norm)
-        prior = None if self.virtual is None else self.virtual.v
+        prior = self.virtual
         result = construct_virtual_learner(remote, cfg, prior=prior,
                                            radius=self._radius)
         innovation = (0.0 if prior is None
@@ -653,13 +636,13 @@ class ActiveTeacher(_GreedyTeacher):
     def step(self, remote):
         if self._exam_due(remote):
             self._examine(remote)
-        v = self.virtual.v
+        v = self.virtual
         taught = self._greedy_step(v, remote)
         if taught is None:
             return None
         sel, beta = taught
-        self.virtual = VirtualLearner(v=v - self.eta * beta * sel.x,
-                                      est_error=self.virtual.est_error)
+        self.virtual = v - self.eta * beta * sel.x
+        self.virtual.setflags(write=False)
         self._t += 1
         return sel
 

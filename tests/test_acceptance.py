@@ -193,13 +193,13 @@ def test_06_single_exam_tracking_error_is_never_amplified():
         v_star = gen.standard_normal(d)
         teacher = LazyTeacher(v_star, mode, eta=1e-4, loss="square")
         teacher.prime(rem)
-        eps0 = teacher.virtual.est_error
+        eps0 = teacher.last_exam.est_error()
         eps_worst = max(eps_worst, eps0)
         assert eps0 <= 1e-8
         for _ in range(500):
             teacher.step(rem)
             drift = float(np.linalg.norm(
-                ts.conjugate_apply(fmap, rem.state.w) - teacher.virtual.v))
+                ts.conjugate_apply(fmap, rem.state.w) - teacher.virtual))
             worst = max(worst, drift - eps0)
     dt = time.perf_counter() - t0
     _verdict(6, "one exam then open-loop tracking stays within its residual",
@@ -223,8 +223,7 @@ def test_07_sign_feedback_search_contracts_at_certified_rate():
             rem = ts.RemoteLearner(st, fmap)
             cfg = ts.RecoveryConfig(eps_est=1e-3,
                                     known_norm=float(np.linalg.norm(v)),
-                                    query_seed=k, contraction_rho=0.8,
-                                    max_rounds=60)
+                                    query_seed=k)
             res = ts.construct_virtual_learner(rem, cfg)
             sines = [_sin_angle(a, v) for a in res.alpha_history]
             for i, s in enumerate(sines):

@@ -1,5 +1,6 @@
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teachsim.cli import main
-from teachsim.config import (ConfigError, ScenarioSpec, apply_master_seed,
-                             config_to_dict, load_config, write_manifest)
-from teachsim.exam import RecoveryConfig
+from teachsim.config import (_SCHEMA, ConfigError, ScenarioSpec,
+                             apply_master_seed, config_to_dict, load_config,
+                             write_manifest)
+from teachsim.exam import (RecoveryConfig, RemoteLearner,
+                           construct_virtual_learner)
 from teachsim.experiments import DatasetSpec, ExperimentConfig
 from teachsim.feature_space import random_map, spectral_stats
+from teachsim.learners import LearnerState
 from teachsim.rng import KEY_DATA, derive_seed
 
 
@@ -229,11 +233,16 @@ def test_manifest_with_retired_keys_reruns_identically(tmp_path):
     assert main(["run", "--config", _write(tmp_path, text),
                  "--out", str(first)]) == 0
     manifest = (first / "manifest.ini").read_text()
-    assert "delta" not in manifest and "adaptive_eps" not in manifest
-    # Older manifests also carry recovery.delta, recovery.lam and
+    for retired in ("delta", "adaptive_eps", "max_rounds",
+                    "contraction_rho"):
+        assert retired not in manifest
+    # Older manifests also carry recovery.delta, recovery.lam,
+    # recovery.max_rounds, recovery.contraction_rho and
     # teacher.adaptive_eps.
     old_text = manifest.replace(
-        "\nmax_rounds = ", "\ndelta = 0.05\nlam = 0.1\nmax_rounds = ")
+        "\nquery_seed = ", "\ndelta = 0.05\nlam = 0.1\nmax_rounds = 60\n"
+        "contraction_rho = 0.8\nquery_seed = ")
+    assert "contraction_rho = 0.8" in old_text
     old_text = old_text.replace("\nstop_tol = ",
                                 "\nadaptive_eps = true\nstop_tol = ")
     assert "adaptive_eps = true" in old_text
@@ -243,8 +252,54 @@ def test_manifest_with_retired_keys_reruns_identically(tmp_path):
     assert ((rerun / "trace.csv").read_bytes()
             == (first / "trace.csv").read_bytes())
     rerun_manifest = (rerun / "manifest.ini").read_text()
-    assert "delta" not in rerun_manifest
-    assert "adaptive_eps" not in rerun_manifest
+    for retired in ("delta", "adaptive_eps", "max_rounds",
+                    "contraction_rho"):
+        assert retired not in rerun_manifest
+
+
+class _RecordingRemote(RemoteLearner):
+    """A remote that keeps the bytes of every query it is sent."""
+
+    def __init__(self, learner, fmap):
+        super().__init__(learner, fmap)
+        self.sent = []
+
+    def query(self, x):
+        self.sent.append(np.asarray(x, dtype=np.float64).tobytes())
+        return super().query(x)
+
+
+def _exam_record(recovery, feedback):
+    """The queries and v_hat bytes of one exam of a small fixed student."""
+    gen = np.random.default_rng(3)
+    fmap = random_map(4, "general", 3)
+    remote = _RecordingRemote(LearnerState(w=gen.standard_normal(4), eta=0.1,
+                                           loss="logistic",
+                                           feedback=feedback), fmap)
+    if feedback == "sign":
+        recovery = replace(recovery, known_norm=remote.disclosed_norm())
+    result = construct_virtual_learner(remote, recovery)
+    return remote.sent, result.v_hat.tobytes()
+
+
+@pytest.mark.parametrize("key", sorted(_SCHEMA["recovery"]))
+def test_every_recovery_key_changes_an_exam(key):
+    # a [recovery] key that moves no query and no v_hat is a knob that
+    # does nothing: each one, off its default, must change a sign or an
+    # exact exam
+    entry = _SCHEMA["recovery"][key]
+    assert entry.target == "recovery"
+    default = RecoveryConfig()
+    value = getattr(default, entry.field)
+    if isinstance(value, bool):
+        moved = not value
+    elif isinstance(value, int):
+        moved = value + 1
+    else:
+        moved = value / 2.0
+    moved = replace(default, **{entry.field: moved})
+    assert any(_exam_record(default, feedback) != _exam_record(moved, feedback)
+               for feedback in ("sign", "identity"))
 
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -264,9 +319,6 @@ def _configs(draw):
     recovery = RecoveryConfig(
         eps_est=draw(st.floats(min_value=0.0, exclude_min=True,
                                allow_infinity=False)),
-        max_rounds=draw(_counts),
-        contraction_rho=draw(st.floats(0.0, 1.0, exclude_min=True,
-                                       exclude_max=True)),
         query_seed=draw(_seeds), standard_queries=draw(st.booleans()))
     config = ExperimentConfig(
         dataset=dataset,

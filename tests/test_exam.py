@@ -1,11 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teachsim.exam import (ExamResult, RankDeficientError, RecoveryConfig,
-                           RemoteLearner, _tangent_frame, _warm_sign_search,
-                           approx_recover_sign, construct_virtual_learner,
+                           RemoteLearner, _tangent_frame, approx_recover_sign, construct_virtual_learner,
                            estimate_learning_rate, exact_recover_bijective,
                            make_basis_queries)
 from teachsim.feature_space import conjugate_apply, random_map
@@ -227,8 +228,7 @@ def test_sign_recovery_round_contraction_certificate():
         d = int(gen.integers(2, 16))
         v = gen.standard_normal(d)
         cfg = RecoveryConfig(eps_est=1e-9, known_norm=float(np.linalg.norm(v)),
-                             query_seed=trial, contraction_rho=rho,
-                             max_rounds=40)
+                             query_seed=trial)
         res = approx_recover_sign(_sign_oracle_for(v), d, cfg)
         sines = [_sin_angle(np.asarray(a), v) for a in res.alpha_history]
         for k, s in enumerate(sines):
@@ -236,18 +236,37 @@ def test_sign_recovery_round_contraction_certificate():
                 f"round {k}: sin {s:.3e} > {rho ** k * sines[0]:.3e}")
 
 
-def test_sign_recovery_exact_alignment_pins_immediately():
-    # target exactly on the first-shot direction: no refinement rounds,
-    # measured angle zero, certified bound down at the pin width
+def _cold_exam_queries(d, norm, eps_est):
+    """The queries of a cold sign exam, from bracket widths alone.
+
+    d sign queries, then one per halving: d - 1 brackets start at width
+    2 sqrt(d - 1), and the widest (the lowest index on ties) is halved
+    until norm * 2 * ||half-widths|| <= eps_est or ||half-widths||
+    <= 1e-15.
+    """
+    half = np.full(d - 1, math.sqrt(d - 1))
+    halvings = 0
+    while True:
+        err = math.sqrt(half.dot(half))
+        if norm * 2.0 * err <= eps_est or err <= 1e-15:
+            return d + halvings
+        half[int(half.argmax())] *= 0.5
+        halvings += 1
+
+
+def test_sign_recovery_certifies_an_aligned_student():
+    # target exactly on the first-shot direction: every chart coordinate
+    # is zero, and the exam bisects to its target like any other, with
+    # no checkpoint passed on the way
     d = 9
     signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
     v = 4.2 * signs / np.sqrt(d)
     cfg = RecoveryConfig(known_norm=4.2, query_seed=0)
     res = approx_recover_sign(_sign_oracle_for(v), d, cfg)
-    assert len(res.alpha_history) == 1  # only the anchor, zero rounds
-    assert _sin_angle(res.v_hat, v) == 0.0
-    assert res.angle_bound <= 1e-12
-    np.testing.assert_allclose(res.v_hat, v, rtol=0, atol=1e-12)
+    assert res.queries_used == _cold_exam_queries(d, 4.2, cfg.eps_est) == 218
+    assert len(res.alpha_history) == 1
+    assert float(np.linalg.norm(res.v_hat - v)) <= res.est_error()
+    assert res.est_error() <= cfg.eps_est
 
 
 def test_sign_recovery_scale_invariance():
@@ -345,20 +364,19 @@ def test_sign_exam_error_within_its_certificate(d, map_kind, prior_kind,
     assert norm * 2.0 * res.angle_bound <= cfg.eps_est
     if prior is None:
         return
-    # a warm search that keeps its anchor is the exam; one that gives up
-    # leaves the cold search to run
-    warm, spent = _warm_sign_search(_sign_remote(w, fmap).query, d, cfg,
-                                    prior, radius)
-    if warm is not None:
-        assert spent == res.queries_used
-        np.testing.assert_array_equal(warm.v_hat, res.v_hat)
+    # a warm exam anchors at the prior; one whose prior cannot anchor
+    # the chart runs the cold exam after its own queries
+    scale = np.linalg.norm(prior)
+    warm = scale > 0 and np.array_equal(res.alpha_history[0], prior / scale)
+    if warm:
         assert len(res.alpha_history) == 2
     else:
+        # a prior without a direction spends nothing
         cold = construct_virtual_learner(_sign_remote(w, fmap), cfg)
-        assert res.queries_used == cold.queries_used + spent
+        assert res.queries_used >= cold.queries_used
         np.testing.assert_array_equal(res.v_hat, cold.v_hat)
     if prior_kind in ("antipodal", "orthogonal"):
-        assert warm is None
+        assert not warm
 
 
 @pytest.mark.parametrize("key", ("eps_est", "known_norm"))
@@ -389,7 +407,8 @@ def _sign_probe_case(case, d, gen):
     a prior at 1e-3 radians from orthogonal to the target, which passes
     the anchor check but puts every chart coordinate near 1e3, past the
     gallop's cap, so the cold exam runs after all.  "pinned": a target
-    on its own sign pattern, which the cold pinning pass settles whole.
+    on its own sign pattern, every chart coordinate of the cold exam
+    exactly zero.
     """
     v = gen.standard_normal(d)
     if case == "pinned":
@@ -438,7 +457,8 @@ def test_each_sign_probe_is_one_remote_query(monkeypatch, case, map_kind):
         assert res.queries_used > cold.queries_used + 1
         np.testing.assert_array_equal(res.v_hat, cold.v_hat)
     elif case == "pinned":
-        assert res.queries_used == d + 2 * (d - 1)
+        assert res.queries_used == _cold_exam_queries(d, cfg.known_norm,
+                                                      cfg.eps_est)
         assert len(res.alpha_history) == 1
 
 

@@ -1,30 +1,35 @@
 """The sign exam against reference copies of its two searches.
 
 ``reference_recover_sign`` is the cold search as it stood when it ran
-in contraction rounds: every probe rebuilt the center and half-width
-arrays and took two norms, and eps_est was tested only at the end of a
-round.  Its rounds resume one widest-first probe sequence, which the
-cold search now runs as a single bisection that stops on its target, so
-the two agree query for query up to the shorter sequence.
-``reference_warm_sign_search`` is the warm search as it stood before
-the cold and warm searches shared one chart engine; the warm search
-still matches it byte for byte: the same queries in the same order, the
-same estimates, the same certificate.  Both references are kept
-verbatim, apart from their names.
+in contraction rounds and began with a pass that pinned exact zero
+chart coordinates with probes at +-1e-13: every probe rebuilt the
+center and half-width arrays and took two norms, and eps_est was tested
+only at the end of a round.  The cold exam now opens every coordinate
+at the full chart bound and runs one bisection that stops on its
+target, so the two share their d sign queries and anchor, and each
+certifies its own estimate.  ``reference_warm_sign_search`` is the warm
+search as it stood before the cold and warm searches shared one chart
+engine; the warm exam still matches it byte for byte: the same queries
+in the same order, the same estimates, the same certificate.  Both
+references are kept verbatim, apart from their names and the two
+constants the cold one once read from RecoveryConfig (rho = 0.8 and
+60 rounds).
 """
 
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from teachsim.exam import (ExamResult, RecoveryConfig, RemoteLearner,
-                           _PIN_OFFSET, _tangent_frame, _warm_sign_search,
-                           approx_recover_sign)
-from teachsim.feature_space import random_map
+                           _tangent_frame, approx_recover_sign)
+from teachsim.feature_space import conjugate_apply, random_map
 from teachsim.learners import LearnerState
-from test_exam import _PRIORS, _prior_and_target
+from test_exam import _PRIORS, _cold_exam_queries, _prior_and_target
+
+# The reference cold search's zero-pinning offset.
+_PIN_OFFSET = 1e-13
 
 
 def reference_recover_sign(sign_oracle, d, config):
@@ -52,7 +57,7 @@ def reference_recover_sign(sign_oracle, d, config):
        contraction guarantee sin_k <= rho^k * sin_0.
 
     Stops once norm * 2 * E_k <= eps_est (2 * E_k bounds the unit-vector
-    chord) or after max_rounds.  Reported angle_bound is the certified
+    chord) or after 60 rounds.  Reported angle_bound is the certified
     sine bound E_k; queries_used counts every oracle call.
     """
     if config.known_norm is None:
@@ -60,7 +65,7 @@ def reference_recover_sign(sign_oracle, d, config):
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     norm = config.known_norm
-    rho = config.contraction_rho
+    rho = 0.8
     counter = {"n": 0}
 
     def ask(q):
@@ -126,7 +131,7 @@ def reference_recover_sign(sign_oracle, d, config):
                           kind="approx_sign", angle_bound=angle_bound,
                           known_norm=norm, alpha_history=tuple(history))
 
-    for k in range(1, config.max_rounds + 1):
+    for k in range(1, 60 + 1):
         # Shrink brackets until the certified sine bound contracts by
         # rho^k relative to the certified chart norm.
         budget = 64 * m
@@ -248,9 +253,9 @@ def _student_image(d, start, gen):
 
     "random": Gaussian.  "zeros": Gaussian with about a third of its
     coordinates exactly zero.  "pinned": on the chart of its own sign
-    pattern, with about half of the chart coordinates exactly zero, so
-    the pinning pass fixes those and leaves the rest to bisect.
-    "aligned": a sign pattern, every chart coordinate zero.
+    pattern, with about half of the chart coordinates exactly zero (the
+    reference's pinning pass fixes those).  "aligned": a sign pattern,
+    every chart coordinate zero.
     """
     v = gen.standard_normal(d)
     if start == "zeros":
@@ -285,23 +290,22 @@ def _bits(x):
 
 
 def _assert_follows_reference(sent, got, sent_ref, ref, config, d):
-    """The cold exam asks the reference's queries up to the shorter of
-    the two sequences, and stops on its target.
+    """The cold exam asks the reference's d sign queries, anchors where
+    it does, and stops on its target; the two estimates lie within the
+    sum of their certified errors of each other.
 
     The target is eps_est, unless the bisection reaches the 1e-15 floor
     or its widest bracket reaches adjacent floats first; a bracket then
-    has a half-width of at most ulp(sqrt(d - 1)), or 1e-13 if pinned.
+    has a half-width of at most ulp(sqrt(d - 1)).
     """
-    n = min(len(sent), len(sent_ref))
-    assert sent[:n] == sent_ref[:n]
-    norm, e = config.known_norm, got.angle_bound
-    if norm * 2.0 * ref.angle_bound <= config.eps_est:
-        # the reference tests eps_est at round ends only, so later
-        assert len(sent) <= len(sent_ref)
-    m = d - 1
-    floor = math.sqrt(m) * max(_PIN_OFFSET, np.spacing(math.sqrt(m)))
-    assert norm * 2.0 * e <= config.eps_est or e <= max(1e-15, floor)
+    assert sent[:d] == sent_ref[:d]
     assert _bits(got.alpha_history[0]) == _bits(ref.alpha_history[0])
+    norm, e = config.known_norm, got.angle_bound
+    m = d - 1
+    floor = math.sqrt(m) * np.spacing(math.sqrt(m))
+    assert norm * 2.0 * e <= config.eps_est or e <= max(1e-15, floor)
+    gap = float(np.linalg.norm(got.v_hat - ref.v_hat))
+    assert gap <= got.est_error() + ref.est_error()
     assert (got.kind, got.known_norm) == (ref.kind, ref.known_norm)
 
 
@@ -310,37 +314,60 @@ def _assert_follows_reference(sent, got, sent_ref, ref, config, d):
        map_kind=st.sampled_from(("identity", "unitary", "general")),
        start=st.sampled_from(("random", "zeros", "pinned", "aligned")),
        seed=st.integers(0, 2 ** 32 - 1),
-       log_eps=st.floats(-16.0, -2.0),
-       max_rounds=st.integers(1, 60),
-       rho=st.sampled_from((0.3, 0.8, 0.95)))
-@example(d=1, map_kind="general", start="random", seed=1, log_eps=-6.0,
-         max_rounds=60, rho=0.8)
-@example(d=9, map_kind="identity", start="aligned", seed=2, log_eps=-6.0,
-         max_rounds=60, rho=0.8)
-@example(d=20, map_kind="unitary", start="pinned", seed=3, log_eps=-12.0,
-         max_rounds=2, rho=0.8)
-@example(d=50, map_kind="general", start="zeros", seed=4, log_eps=-12.0,
-         max_rounds=60, rho=0.95)
-# pinned half-widths keep the certificate above rho^k of the chart norm,
-# so the reference's later rounds spend their whole 64 (d - 1) probe
-# budget
-@example(d=12, map_kind="unitary", start="pinned", seed=5, log_eps=-16.0,
-         max_rounds=60, rho=0.3)
+       log_eps=st.floats(-16.0, -2.0))
+@example(d=1, map_kind="general", start="random", seed=1, log_eps=-6.0)
+@example(d=9, map_kind="identity", start="aligned", seed=2, log_eps=-6.0)
+@example(d=20, map_kind="unitary", start="pinned", seed=3, log_eps=-12.0)
+@example(d=50, map_kind="general", start="zeros", seed=4, log_eps=-12.0)
+@example(d=12, map_kind="unitary", start="pinned", seed=5, log_eps=-16.0)
 def test_cold_search_follows_reference_probes_to_its_target(d, map_kind,
                                                             start, seed,
-                                                            log_eps,
-                                                            max_rounds, rho):
+                                                            log_eps):
     gen = np.random.default_rng(seed)
     fmap = random_map(d, map_kind, seed)
     v = _student_image(d, start, gen)
     # the student's weights w solve G^T w = v
     w = v if map_kind == "identity" else np.linalg.solve(fmap.matrix.T, v)
     config = RecoveryConfig(eps_est=10.0 ** log_eps,
-                            known_norm=float(np.linalg.norm(v)) or 1.0,
-                            max_rounds=max_rounds, contraction_rho=rho)
+                            known_norm=float(np.linalg.norm(v)) or 1.0)
     sent, got = _recorded_exam(approx_recover_sign, fmap, w, config)
     sent_ref, ref = _recorded_exam(reference_recover_sign, fmap, w, config)
     _assert_follows_reference(sent, got, sent_ref, ref, config, d)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(1, 50),
+       map_kind=st.sampled_from(("identity", "unitary", "general")),
+       start=st.sampled_from(("random", "zeros", "aligned")),
+       seed=st.integers(0, 2 ** 32 - 1),
+       norm=st.floats(0.5, 20.0),
+       log_eps=st.floats(-9.0, -3.0))
+@example(d=1, map_kind="identity", start="random", seed=1, norm=1.0,
+         log_eps=-6.0)
+@example(d=9, map_kind="identity", start="aligned", seed=2, norm=4.2,
+         log_eps=-6.0)
+@example(d=20, map_kind="unitary", start="zeros", seed=3, norm=20.0,
+         log_eps=-9.0)
+@example(d=50, map_kind="general", start="random", seed=4, norm=0.5,
+         log_eps=-3.0)
+def test_cold_exam_query_count_is_answer_free(d, map_kind, start, seed, norm,
+                                              log_eps):
+    # every halving halves a bracket whatever the answer, so the count
+    # follows from d, the norm and eps_est alone
+    gen = np.random.default_rng(seed)
+    fmap = random_map(d, map_kind, seed)
+    v = _student_image(d, start, gen)
+    assume(np.any(v))  # "zeros" can zero every coordinate
+    v *= norm / np.linalg.norm(v)
+    w = v if map_kind == "identity" else np.linalg.solve(fmap.matrix.T, v)
+    true_v = conjugate_apply(fmap, w)
+    config = RecoveryConfig(eps_est=10.0 ** log_eps,
+                            known_norm=float(np.linalg.norm(true_v)))
+    _, got = _recorded_exam(approx_recover_sign, fmap, w, config)
+    assert got.queries_used == _cold_exam_queries(d, config.known_norm,
+                                                  config.eps_est)
+    err = float(np.linalg.norm(got.v_hat - true_v))
+    assert err <= got.est_error() <= config.eps_est
 
 
 def _far_prior_and_target(d, gen):
@@ -426,15 +453,21 @@ def test_warm_search_matches_reference_byte_for_byte(d, map_kind, prior_kind,
                                        config)
         _assert_follows_reference(sent, got, sent_ref, ref, config, d)
         return
-    sent, got, spent = _recorded_warm(_warm_sign_search, fmap, w, config,
-                                      prior, radius)
-    sent_ref, ref, spent_ref = _recorded_warm(reference_warm_sign_search,
-                                              fmap, w, config, prior, radius)
-    assert sent == sent_ref
-    assert spent == spent_ref
-    assert (got is None) == (ref is None)
+    sent, got = _recorded_exam(
+        lambda o, dim, cfg: approx_recover_sign(o, dim, cfg, prior=prior,
+                                                radius=radius),
+        fmap, w, config)
+    sent_ref, ref, _ = _recorded_warm(reference_warm_sign_search, fmap, w,
+                                      config, prior, radius)
     if ref is not None:
+        assert sent == sent_ref
         _assert_same_exam(got, ref)
+        return
+    # the warm attempt failed: its queries, then the cold exam's
+    sent_cold, cold = _recorded_exam(approx_recover_sign, fmap, w, config)
+    assert sent == sent_ref + sent_cold
+    assert got.queries_used == len(sent_ref) + cold.queries_used
+    assert _bits(got.v_hat) == _bits(cold.v_hat)
 
 
 @given(map_kind=st.sampled_from(("identity", "unitary", "general")),

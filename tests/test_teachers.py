@@ -566,8 +566,31 @@ def test_active_teacher_unitary_map_exams_once():
     assert rem.white_box_reads == 0
     # virtual learner tracks the true conjugate image without drift
     true_v = fmap.matrix.T @ rem.state.w
-    np.testing.assert_allclose(teacher.virtual.v, true_v, rtol=0,
+    np.testing.assert_allclose(teacher.virtual, true_v, rtol=0,
                                atol=1e-10)
+
+
+def test_active_teacher_keeps_the_exam_its_estimate_started_from():
+    # steps move the read-only estimate but not the last exam, whose
+    # bound holds for the estimate it returned, not the propagated one
+    gen = np.random.default_rng(9)
+    d = 5
+    fmap = random_map(d, "general", 2)
+    mode = TeachingMode.rescalable_pool(gen.standard_normal((30, d)),
+                                        gen.standard_normal(30))
+    rem = RemoteLearner(LearnerState(w=gen.standard_normal(d), eta=0.02,
+                                     loss="square", feedback="identity"),
+                        fmap)
+    teacher = LazyTeacher(gen.standard_normal(d), mode, eta=0.02,
+                          loss="square")
+    teacher.prime(rem)
+    exam = teacher.last_exam
+    assert teacher.virtual is exam.v_hat
+    for _ in range(5):
+        teacher.step(rem)
+        assert teacher.last_exam is exam
+        assert not teacher.virtual.flags.writeable
+    assert not np.array_equal(teacher.virtual, exam.v_hat)
 
 
 def test_active_teacher_general_map_reexamines_each_step():
@@ -744,17 +767,17 @@ def test_selection_et_report_is_taken_at_the_teachers_estimate():
         if teacher is active:
             teacher.prime(rem)
         for _ in range(6):
-            v = (active.virtual.v if teacher is active
+            v = (active.virtual if teacher is active
                  else conjugate_apply(fmap, rem.state.w))
             sel = teacher.step(rem)
             beta = loss_grad(loss, float(v @ sel.x), sel.y)
             assert sel.et == et_condition_check(sel.gamma, beta, eta, stats)
             assert sel.et.gamma_beta == sel.gamma * beta
             if teacher is active:
-                np.testing.assert_array_equal(active.virtual.v,
+                np.testing.assert_array_equal(active.virtual,
                                               v - eta * beta * sel.x)
     true_v = conjugate_apply(fmap, rem.state.w)
-    assert float(np.linalg.norm(active.virtual.v - true_v)) > 1e-6
+    assert float(np.linalg.norm(active.virtual - true_v)) > 1e-6
     plain = OmniscientTeacher(v_star, mode, eta, loss)
     assert plain.step(rem).et is None
 
