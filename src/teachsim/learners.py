@@ -59,6 +59,16 @@ def _sigmoid(t):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
+def _sigmoid_float(t):
+    """_sigmoid of a Python float, bit for bit, as a Python float.
+
+    np.exp on a float runs the ufunc loop that _sigmoid runs on an
+    array; math.exp is a different routine and may round differently.
+    """
+    e = float(np.exp(-abs(t)))
+    return (1.0 if t >= 0 else e) / (1.0 + e)
+
+
 def loss_value(loss, z, y):
     """Pointwise loss at scalar prediction z and label y (broadcasts)."""
     _check_labels(loss, y)
@@ -76,7 +86,9 @@ def loss_value(loss, z, y):
 def loss_grad(loss, z, y):
     """Derivative of the loss in its prediction argument (beta).
 
-    The hinge derivative at the kink y*z == 1 is taken as 0.
+    The hinge derivative at the kink y*z == 1 is taken as 0.  A Python
+    float z and y, the case of every teaching step, skip the 0-d arrays
+    (see _loss_grad_kernel).
     """
     _check_labels(loss, y)
     return _loss_grad_kernel(loss, z, y)
@@ -86,8 +98,16 @@ def _loss_grad_kernel(loss, z, y):
     """loss_grad for a loss and labels that _check_labels has passed.
 
     A caller that evaluates many predictions against the same labels
-    checks them once and calls this directly.
+    checks them once and calls this directly.  When z and y are both
+    Python floats the same IEEE operations run on floats, so the result
+    has the bits of the array path at a fraction of its cost.
     """
+    if type(z) is float and type(y) is float:
+        if loss == "square":
+            return z - y
+        if loss == "logistic":
+            return -y * _sigmoid_float(-y * z)
+        return -y if y * z < 1.0 else 0.0
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if loss == "square":
@@ -102,15 +122,20 @@ def _loss_grad_kernel(loss, z, y):
 def feedback_value(kind, z):
     """Apply the feedback function F to a scalar prediction (broadcasts).
 
-    A Python float on the identity or sign channel skips the 0-d arrays:
-    the same IEEE operation gives the same bits, and every exam query
-    lands here.
+    A Python float skips the 0-d arrays on every channel: the same IEEE
+    operations give the same bits, and every exam query lands here.  On
+    the hinge-value channel NaN passes through and -0.0 maps to 0.0, as
+    in np.maximum(z, 0.0).
     """
     _check_feedback(kind)
-    if type(z) is float and kind in ("identity", "sign"):
+    if type(z) is float:
         if kind == "identity":
             return z + 0.0
-        return 1.0 if z >= 0 else -1.0
+        if kind == "sigmoid":
+            return _sigmoid_float(z)
+        if kind == "sign":
+            return 1.0 if z >= 0 else -1.0
+        return z if z > 0.0 or z != z else 0.0
     z = np.asarray(z, dtype=np.float64)
     if kind == "identity":
         out = z + 0.0

@@ -367,8 +367,43 @@ def _line_values(gamma, a, c, n, eta, loss):
             - 2.0 * eta * beta * (gamma * c))
 
 
+def _line_best(gamma, a, c, n, eta, loss):
+    """_line_values at one Python float gamma, on floats: (value, label).
+
+    label is the one np.argmin picks from the column (the first NaN, else
+    the least objective, -1 on ties) and value its objective, which
+    compares as the column's np.min does (NaN when either is NaN).  Each
+    label's beta and objective go through _line_values's operations in
+    its order, so each has the array kernel's bits; sigmoid(z) and
+    sigmoid(-z) share e = exp(-|z|), so a logistic evaluation costs one
+    np.exp.
+    """
+    z = gamma * a
+    if loss == "logistic":
+        # beta = -y * sigmoid(-y z) for y = -1, then y = +1, as in
+        # learners._sigmoid_float
+        e = float(np.exp(-abs(z)))
+        betas = (1.0 * ((1.0 if z >= 0 else e) / (1.0 + e)),
+                 -1.0 * ((1.0 if z <= 0 else e) / (1.0 + e)))
+    else:
+        # beta = -y where y z < 1, else 0, for y = -1, then y = +1
+        betas = (1.0 if -1.0 * z < 1.0 else 0.0,
+                 -1.0 if 1.0 * z < 1.0 else 0.0)
+    minus, plus = (eta * eta * beta * beta * (gamma * gamma * n)
+                   - 2.0 * eta * beta * (gamma * c) for beta in betas)
+    if minus == minus and (plus < minus or plus != plus):
+        return plus, 1.0
+    return minus, -1.0
+
+
 def _classification_line_search(a, c, n, g_max, eta, loss):
-    """Grid scan plus golden-section refinement; returns (gamma, label)."""
+    """Grid scan plus golden-section refinement; returns (gamma, label).
+
+    The 2001-point grid is one array expression (_line_values); the
+    golden-section refinement and the final label pick evaluate one
+    gamma at a time on Python floats (_line_best), with the bits the
+    array kernel gives.
+    """
     # the loss is checked here once, not at every point of the search
     _check_labels(loss, _LABELS)
     grid = np.linspace(-g_max, g_max, _SYNTH_GRID_POINTS)
@@ -376,7 +411,7 @@ def _classification_line_search(a, c, n, g_max, eta, loss):
     i = int(np.argmin(vals))
 
     def phi(g):
-        return float(np.min(_line_values(g, a, c, n, eta, loss)))
+        return _line_best(g, a, c, n, eta, loss)[0]
 
     # The width floor is relative to the bracket magnitude: an absolute
     # floor below one ulp of the endpoints never terminates.
@@ -395,10 +430,11 @@ def _classification_line_search(a, c, n, g_max, eta, loss):
             q = lo + _GOLDEN * (hi - lo)
             fq = phi(q)
     gamma = 0.5 * (lo + hi)
-    if vals[i] < phi(gamma):
+    best, label = _line_best(gamma, a, c, n, eta, loss)
+    if vals[i] < best:
         gamma = float(grid[i])
-    labels = _line_values(gamma, a, c, n, eta, loss)[:, 0]
-    return gamma, float(_LABELS[int(np.argmin(labels)), 0])
+        label = _line_best(gamma, a, c, n, eta, loss)[1]
+    return gamma, label
 
 
 def _synthesis_search(v, v_star, direction, norm_bound, eta, loss):
@@ -415,8 +451,9 @@ def _synthesis_search(v, v_star, direction, norm_bound, eta, loss):
 
     Classification losses try both labels.  _line_values scores a
     2001-point gamma grid for both in one array expression; a
-    golden-section search on the same scalars refines the bracket around
-    the grid winner, which is kept if the refinement does not beat it.
+    golden-section search on the same scalars, on Python floats
+    (_line_best), refines the bracket around the grid winner, which is
+    kept if the refinement does not beat it.
     """
     n = float(direction @ direction)
     if n == 0.0:

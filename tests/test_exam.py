@@ -482,7 +482,18 @@ def test_construct_virtual_learner_all_feedbacks():
         assert rem.white_box_reads == 0  # or peek at the weights
 
 
-def test_exam_query_counts_by_feedback():
+def test_exam_query_counts_by_feedback(monkeypatch):
+    # as for the sign probes, the benchmark tracer checks RemoteLearner
+    # .query calls against query_samples: every exact-exam query is one
+    # call too
+    calls = [0]
+    query = RemoteLearner.query
+
+    def counted(self, x):
+        calls[0] += 1
+        return query(self, x)
+
+    monkeypatch.setattr(RemoteLearner, "query", counted)
     gen = np.random.default_rng(6)
     d = 5
     fmap = random_map(d, "unitary", 2)
@@ -490,9 +501,11 @@ def test_exam_query_counts_by_feedback():
     for feedback, loss, expected in (("identity", "square", d),
                                      ("sigmoid", "logistic", d),
                                      ("hinge_value", "hinge", 2 * d)):
+        calls[0] = 0
         rem = _remote(w, feedback, fmap, loss=loss)
         res = construct_virtual_learner(rem, RecoveryConfig(query_seed=1))
         assert res.queries_used == expected
+        assert calls[0] == rem.query_samples == expected
 
 
 def test_estimate_learning_rate_exact_budget_and_accuracy():

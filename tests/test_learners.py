@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teachsim.feature_space import FeatureMap
-from teachsim.learners import (FEEDBACKS, LearnerState, SaturationError,
-                               _sigmoid, feedback_invert, feedback_value,
+from teachsim.learners import (FEEDBACKS, LOSSES, LearnerState,
+                               SaturationError, _loss_grad_kernel, _sigmoid,
+                               feedback_invert, feedback_value,
                                forgetting_step, loss_grad, loss_value,
                                respond, sgd_step)
 from teachsim.rng import KEY_FORGET, substream
@@ -62,6 +63,30 @@ def test_feedback_value_float_path_matches_array_path_bit_for_bit():
             got = feedback_value(kind, x)
             assert type(got) is float
             assert np.float64(got).view(np.uint64) == ref.view(np.uint64)
+
+
+def test_loss_grad_kernel_float_path_matches_array_path_bit_for_bit():
+    # a Python float z and y take a scalar path; it must give the bits
+    # of the array path, as a Python float, for every loss and label
+    specials = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 5e-324, -5e-324,
+                np.inf, -np.inf, np.nan, -np.nan]
+    gen = np.random.default_rng(8)
+    z = np.concatenate([specials, gen.standard_normal(2000),
+                        gen.standard_normal(2000) * 1e3,
+                        gen.standard_normal(200) * 1e300])
+    margin_labels = [-1.0, 1.0]
+    square_labels = margin_labels + [0.0, -0.0, 0.37, -2.5e7, 5e-324,
+                                      np.inf, np.nan]
+    for loss in LOSSES:
+        labels = square_labels if loss == "square" else margin_labels
+        for y in labels:
+            with np.errstate(invalid="ignore"):
+                via_array = _loss_grad_kernel(loss, z, y)
+            for x, ref in zip(z.tolist(), via_array):
+                got = _loss_grad_kernel(loss, x, y)
+                assert type(got) is float
+                assert np.float64(got).view(np.uint64) == \
+                    ref.view(np.uint64), (loss, x, y)
 
 
 def test_loss_grad_matches_finite_differences():

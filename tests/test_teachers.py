@@ -685,15 +685,12 @@ class _ProtocolView:
 
 
 def test_black_box_teachers_use_only_the_protocol(monkeypatch):
-    # sign feedback on a forgetting student, so every re-exam of the
-    # active teacher is warm: anchored at its own propagated estimate
-    gen = np.random.default_rng(15)
-    d, eta, loss = 8, 0.5, "logistic"
-    fmap = random_map(d, "unitary", 4)
-    mode = TeachingMode.rescalable_pool(gen.standard_normal((40, d)),
-                                        gen.choice([-1.0, 1.0], size=40))
-    v_star = gen.standard_normal(d)
-    w0 = gen.standard_normal(d)
+    # a forgetting student on every feedback channel, and an active
+    # teacher that re-examines at every step: on the sign channel each
+    # re-exam is warm, anchored at its own propagated estimate; an exact
+    # channel over a general map ("auto" is period 1 there) asks a cold
+    # exam each time, and its small step keeps the predictions inside
+    # the sigmoid's invertible range
     warm = []
     exam = teachsim.teachers.construct_virtual_learner
 
@@ -703,20 +700,33 @@ def test_black_box_teachers_use_only_the_protocol(monkeypatch):
 
     monkeypatch.setattr(teachsim.teachers, "construct_virtual_learner",
                         recording_exam)
-    steps = 6
-    for teacher, expected in (
-            (ActiveTeacher(v_star, mode, eta, loss, exam_period=1),
-             [False] + [True] * (steps - 1)),
-            (LazyTeacher(v_star, mode, eta, loss), [False])):
-        remote = RemoteLearner(LearnerState(w=w0, eta=eta, loss=loss,
-                                            feedback="sign",
-                                            sigma_forget=0.01, seed=3), fmap)
-        warm.clear()
-        for _ in range(steps):
-            assert teacher.step(_ProtocolView(remote)) is not None
-        assert warm == expected
-        assert remote.teaching_samples == steps
-        assert remote.white_box_reads == 0
+    steps, d = 6, 8
+    for feedback, loss, map_kind, eta, period in (
+            ("sign", "logistic", "unitary", 0.5, 1),
+            ("identity", "square", "general", 0.002, "auto"),
+            ("sigmoid", "logistic", "general", 0.002, "auto"),
+            ("hinge_value", "hinge", "general", 0.002, "auto")):
+        gen = np.random.default_rng(15)
+        fmap = random_map(d, map_kind, 4)
+        mode = TeachingMode.rescalable_pool(gen.standard_normal((40, d)),
+                                            gen.choice([-1.0, 1.0], size=40))
+        v_star = gen.standard_normal(d)
+        w0 = gen.standard_normal(d)
+        sign = feedback == "sign"
+        for teacher, expected in (
+                (ActiveTeacher(v_star, mode, eta, loss, exam_period=period),
+                 [False] + [sign] * (steps - 1)),
+                (LazyTeacher(v_star, mode, eta, loss), [False])):
+            remote = RemoteLearner(LearnerState(w=w0, eta=eta, loss=loss,
+                                                feedback=feedback,
+                                                sigma_forget=0.01, seed=3),
+                                   fmap)
+            warm.clear()
+            for _ in range(steps):
+                assert teacher.step(_ProtocolView(remote)) is not None
+            assert warm == expected, feedback
+            assert remote.teaching_samples == steps
+            assert remote.white_box_reads == 0
 
 
 def test_one_dimensional_sign_teacher_reexams_with_a_zero_radius(
