@@ -26,6 +26,9 @@ class FeatureMap:
     Only square maps (s == d) are supported; the matrix must be far from
     singular (smallest singular value above 1e-10).  ``is_unitary`` records
     that G^T G = I, which lets teachers skip repeated feedback exams.
+    ``is_identity`` records, once, that the matrix equals I entry for
+    entry, so that a query can skip the product G x (see
+    RemoteLearner.query).
     """
 
     def __init__(self, matrix, is_unitary=False):
@@ -52,6 +55,7 @@ class FeatureMap:
         self.d = m.shape[1]
         self.s = m.shape[0]
         self.is_unitary = bool(is_unitary)
+        self.is_identity = bool(np.array_equal(m, np.eye(self.d)))
 
     def __repr__(self):
         tag = "unitary" if self.is_unitary else "general"

@@ -549,7 +549,10 @@ class _GreedyTeacher:
 
     The step works on the teacher's own estimate v of G^T w, so stopping
     and the step-size (ET) window check never use more than the teacher
-    knows.
+    knows.  Everything the step decides is a function of v alone, so the
+    last (selection, beta) is kept under the bytes of its v, and a step
+    at an estimate with the same bytes teaches it again without another
+    selection.
     """
 
     def __init__(self, v_star, mode, eta, loss, stop_tol=0.0, spectral=None,
@@ -561,6 +564,7 @@ class _GreedyTeacher:
         self.stop_tol = stop_tol
         self.spectral = spectral
         self.lam = lam
+        self._last_step = (None, None)
 
     def _greedy_step(self, v, remote):
         """Select against v and teach; returns (selection, beta), or None
@@ -568,8 +572,16 @@ class _GreedyTeacher:
 
         beta is the loss derivative the student applies to the selection
         if v is its true image; the ET report is attached when the map's
-        spectrum is known.
+        spectrum is known.  When v has the bytes of the last step's
+        estimate, that step's (selection, beta) is taught again: the stop
+        test, the selection and the ET check would repeat it bit for bit.
+        A step that returns None is not kept.
         """
+        key = v.tobytes()
+        last_key, taught = self._last_step
+        if key == last_key:
+            remote.teach(taught[0].x, taught[0].y)
+            return taught
         if float(np.linalg.norm(v - self.v_star)) <= self.stop_tol:
             return None
         try:
@@ -582,6 +594,7 @@ class _GreedyTeacher:
             sel = replace(sel, et=et_condition_check(
                 sel.gamma, beta, self.eta, self.spectral, self.lam))
         remote.teach(sel.x, sel.y)
+        self._last_step = key, (sel, beta)
         return sel, beta
 
 
@@ -685,7 +698,14 @@ class ActiveTeacher(_GreedyTeacher):
 
 
 class LazyTeacher(ActiveTeacher):
-    """One background exam, then open-loop virtual updates forever."""
+    """One background exam, then open-loop virtual updates forever.
+
+    A lazy teacher can stall: once it picks an example whose beta is 0
+    at its estimate (a hinge example past the margin), the estimate stops
+    moving and it teaches that example again at every later step.  Each
+    such step reuses the kept selection (see _GreedyTeacher), so a stall
+    costs a teaching step but no selection.
+    """
 
     def __init__(self, v_star, mode, eta, loss, recovery=None,
                  stop_tol=0.0, spectral=None, lam=0.0):

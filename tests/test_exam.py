@@ -1,16 +1,19 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import teachsim.exam
 from teachsim.exam import (ExamResult, RankDeficientError, RecoveryConfig,
                            RemoteLearner, _tangent_frame, approx_recover_sign, construct_virtual_learner,
                            estimate_learning_rate, exact_recover_bijective,
                            make_basis_queries)
-from teachsim.feature_space import conjugate_apply, random_map
-from teachsim.learners import LearnerState, SaturationError
+from teachsim.feature_space import apply_map, conjugate_apply, random_map
+from teachsim.learners import (FEEDBACKS, LearnerState, SaturationError,
+                               respond)
 
 
 def _remote(w, feedback, fmap, eta=1e-3, loss="square"):
@@ -428,15 +431,22 @@ def _sign_probe_case(case, d, gen):
 def test_each_sign_probe_is_one_remote_query(monkeypatch, case, map_kind):
     # the benchmark tracer counts RemoteLearner.query calls and checks
     # them against query_samples, so a sign exam must ask every probe
-    # through exactly one query call
-    calls = [0]
+    # through exactly one query call; on the identity map no probe may
+    # need the product I x (RemoteLearner.query answers it from one ddot)
+    calls, products = [0], [0]
     query = RemoteLearner.query
+    product = teachsim.exam.apply_map
 
     def counted(self, x):
         calls[0] += 1
         return query(self, x)
 
+    def counted_product(fmap, x):
+        products[0] += 1
+        return product(fmap, x)
+
     monkeypatch.setattr(RemoteLearner, "query", counted)
+    monkeypatch.setattr(teachsim.exam, "apply_map", counted_product)
     d = 12
     gen = np.random.default_rng(7)
     fmap = random_map(d, map_kind, 7)
@@ -446,10 +456,12 @@ def test_each_sign_probe_is_one_remote_query(monkeypatch, case, map_kind):
     remote = _sign_remote(w, fmap)
     res = construct_virtual_learner(remote, cfg, prior=prior, radius=1e-3)
     assert calls[0] == res.queries_used == remote.query_samples
+    assert products[0] == (0 if map_kind == "identity" else calls[0])
     # and the exam took the path its case names
-    calls[0] = 0
+    calls[0] = products[0] = 0
     cold = construct_virtual_learner(_sign_remote(w, fmap), cfg)
     assert calls[0] == cold.queries_used
+    assert products[0] == (0 if map_kind == "identity" else calls[0])
     if case == "warm":
         assert res.queries_used < cold.queries_used
         assert len(res.alpha_history) == 2
@@ -557,6 +569,122 @@ def test_remote_learner_counters_and_teaching():
     n = rem.disclosed_norm()
     assert rem.norm_disclosures == 1
     np.testing.assert_allclose(n, 0.5)
+
+
+# Signed zeros and subnormals among plain and wide-ranging finite entries
+_ENTRIES = st.one_of(st.floats(-10.0, 10.0),
+                     st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                                      -1e-310)),
+                     st.floats(-1e150, 1e150))
+# One entry of x may be replaced: +-1e300 overflows the prediction when
+# its weight exceeds about 1.8e8, and inf or NaN entries make I x differ
+# from x
+_SPECIAL_ENTRIES = (1e300, -1e300, math.inf, -math.inf, math.nan)
+
+
+def _answer_bits(answer):
+    return struct.pack("<d", answer)
+
+
+def _reference_query(remote, x):
+    """The general query path: respond(state, apply_map(fmap, x))."""
+    return respond(remote.state, apply_map(remote.fmap, x))
+
+
+@st.composite
+def _identity_query_cases(draw):
+    d = draw(st.integers(1, 64))
+    w = draw(st.lists(_ENTRIES, min_size=d, max_size=d))
+    x = draw(st.lists(_ENTRIES, min_size=d, max_size=d))
+    special = draw(st.one_of(st.none(), st.tuples(
+        st.integers(0, d - 1), st.sampled_from(_SPECIAL_ENTRIES))))
+    if special is not None:
+        x[special[0]] = special[1]
+    return w, x, draw(st.integers(0, 7))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_identity_query_cases())
+@example(case=([1e300, 1e300], [1e300, 1e300], 1))
+@example(case=([1.0, -1.0], [-0.0, -0.0], 0))
+@example(case=([1.0], [math.inf], 3))
+def test_identity_map_query_is_one_ddot_with_the_products_bits(case):
+    # on an identity map a float64 vector is answered from <w, x> alone,
+    # with the bits of the general path on every channel; a prediction
+    # that is not finite (an overflow, or an inf or NaN entry, where
+    # I x differs from x) is asked again on the general path.  x sits at
+    # a given 8-byte offset of a larger buffer, in case the BLAS ddot
+    # rounds differently on differently aligned vectors
+    w, values, offset = case
+    d = len(w)
+    buf = np.zeros(d + 8)
+    x = buf[offset:offset + d]
+    x[:] = values
+    fmap = random_map(d, "identity", 0)
+    assert fmap.is_identity
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = math.isfinite(float(np.asarray(w).dot(x)))
+    # a finite prediction implies a finite x
+    assert not finite or np.all(np.isfinite(x))
+    products = [0]
+
+    def counted_product(fmap, x):
+        products[0] += 1
+        return apply_map(fmap, x)
+
+    for feedback in FEEDBACKS:
+        remote = RemoteLearner(LearnerState(w=w, eta=0.1, loss="square",
+                                            feedback=feedback), fmap)
+        products[0] = 0
+        with pytest.MonkeyPatch.context() as patch, np.errstate(
+                over="ignore", invalid="ignore"):
+            expected = _reference_query(remote, x)
+            patch.setattr(teachsim.exam, "apply_map", counted_product)
+            answer = remote.query(x)
+        assert _answer_bits(answer) == _answer_bits(expected), feedback
+        assert products[0] == (0 if finite else 1)
+        assert remote.query_samples == 1
+        if not np.all(np.isfinite(x)):
+            assert products[0] == 1
+
+
+@pytest.mark.parametrize("layout", ("list", "int", "float32", "strided",
+                                    "reversed", "row", "column", "square",
+                                    "short", "long"))
+def test_identity_map_query_of_any_other_input_answers_as_before(layout):
+    # inputs off the fast path answer, or raise the same ValueError, as
+    # the general path does
+    d = 5
+    gen = np.random.default_rng(17)
+    w = gen.standard_normal(d)
+    values = gen.integers(-3, 4, size=d)
+    buf = np.zeros(2 * d)
+    buf[::2] = values
+    x = {"list": [float(v) for v in values],
+         "int": values,
+         "float32": values.astype(np.float32),
+         "strided": buf[::2],
+         "reversed": values[::-1].astype(np.float64)[::-1],
+         "row": values[None, :].astype(np.float64),
+         "column": values[:, None].astype(np.float64),
+         "square": np.tile(values.astype(np.float64), (d, 1)),
+         "short": values[:-1].astype(np.float64),
+         "long": np.append(values, 1.0)}[layout]
+    fmap = random_map(d, "identity", 0)
+    for feedback in FEEDBACKS:
+        remote = RemoteLearner(LearnerState(w=w, eta=0.1, loss="square",
+                                            feedback=feedback), fmap)
+        try:
+            expected = ("answer", _answer_bits(_reference_query(remote, x)))
+        except ValueError as exc:
+            expected = ("error", str(exc))
+        try:
+            got = ("answer", _answer_bits(remote.query(x)))
+        except ValueError as exc:
+            got = ("error", str(exc))
+        assert got == expected, (layout, feedback)
+        assert (got[0] == "error") == (layout in ("row", "column", "square",
+                                                  "short", "long"))
 
 
 def test_exam_result_est_error_forms():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import teachsim.teachers
 from teachsim.exam import RemoteLearner
+from teachsim.experiments import (DatasetSpec, ExperimentConfig,
+                                  run_multi_teacher)
 from teachsim.feature_space import (conjugate_apply, random_map,
                                     spectral_stats)
 from teachsim.learners import LearnerState, loss_grad
@@ -729,6 +731,41 @@ def test_black_box_teachers_use_only_the_protocol(monkeypatch):
             assert remote.white_box_reads == 0
 
 
+@pytest.mark.parametrize("feedback, loss, map_kind, eta, sigma", (
+    ("sign", "hinge", "identity", 0.01, 0.01),
+    ("identity", "square", "general", 0.002, 0.0)))
+def test_the_teacher_relay_uses_only_the_protocol(monkeypatch, feedback,
+                                                  loss, map_kind, eta,
+                                                  sigma):
+    # every prime and step of a relay of active teachers, the handoff
+    # exams included, goes through the protocol view, and the trace is
+    # the one the plain handle gives
+    cfg = ExperimentConfig(
+        dataset=DatasetSpec(task="classification", d=6, n=50, seed=3),
+        map_kind=map_kind, map_seed=2, loss=loss, feedback=feedback,
+        eta=eta, sigma_forget=sigma, noise_seed=4, exam_period=1,
+        mode_kind="rescalable_pool", iterations=12, ridge=0.1, run_seed=5)
+    plain = run_multi_teacher(cfg, 3, [3, 8])
+    remotes, primes = set(), []
+    step, prime = ActiveTeacher.step, ActiveTeacher.prime
+
+    def viewed_step(teacher, remote):
+        remotes.add(remote)
+        return step(teacher, _ProtocolView(remote))
+
+    def viewed_prime(teacher, remote):
+        primes.append(teacher)
+        return prime(teacher, _ProtocolView(remote))
+
+    monkeypatch.setattr(ActiveTeacher, "step", viewed_step)
+    monkeypatch.setattr(ActiveTeacher, "prime", viewed_prime)
+    assert run_multi_teacher(cfg, 3, [3, 8]) == plain
+    assert len(primes) == len(set(primes)) == 3
+    (remote,) = remotes
+    assert remote.white_box_reads == 0
+    assert remote.teaching_samples == 12
+
+
 def test_one_dimensional_sign_teacher_reexams_with_a_zero_radius(
         monkeypatch):
     # at d = 1 the last exam certifies the direction exactly, so an
@@ -755,6 +792,55 @@ def test_one_dimensional_sign_teacher_reexams_with_a_zero_radius(
         assert teacher.step(remote) is not None
     assert exams == [(False, None, 1)] + [(True, 0.0, 1)] * 4
     assert remote.query_samples == 5
+
+
+@pytest.mark.parametrize("kind", ("lazy", "omniscient"))
+def test_a_repeated_estimate_reteaches_a_selection_equal_to_a_fresh_one(
+        monkeypatch, kind):
+    # on hinge loss both teachers stall: an example with beta = 0 at the
+    # estimate leaves it as it was (the lazy teacher's open-loop estimate
+    # under forgetting, the omniscient teacher's exact one on a still
+    # student).  Every step still returns what a fresh selection plus ET
+    # check at its estimate gives, and select_pool runs once per distinct
+    # estimate.
+    gen = np.random.default_rng(5)
+    d, eta, loss, steps = 6, 0.01, "hinge", 60
+    x = gen.standard_normal((40, d))
+    v_star = gen.standard_normal(d)
+    mode = TeachingMode.rescalable_pool(x, np.where(x @ v_star >= 0, 1.0,
+                                                    -1.0))
+    fmap = random_map(d, "identity", 0)
+    stats = spectral_stats(fmap)
+    sigma = 0.01 if kind == "lazy" else 0.0
+    remote = RemoteLearner(LearnerState(w=gen.standard_normal(d), eta=eta,
+                                        loss=loss, feedback="sign",
+                                        sigma_forget=sigma, seed=3), fmap)
+    teacher = (LazyTeacher if kind == "lazy" else OmniscientTeacher)(
+        v_star, mode, eta, loss, spectral=stats)
+    if kind == "lazy":
+        teacher.prime(remote)
+    calls = [0]
+    pool = teachsim.teachers.select_pool
+
+    def counted(*args):
+        calls[0] += 1
+        return pool(*args)
+
+    monkeypatch.setattr(teachsim.teachers, "select_pool", counted)
+    estimates = set()
+    for _ in range(steps):
+        v = (teacher.virtual if kind == "lazy"
+             else conjugate_apply(fmap, remote.state.w))
+        estimates.add(v.tobytes())
+        sel = teacher.step(remote)
+        fresh = pool(v, v_star, mode, eta, loss)
+        beta = loss_grad(loss, float(v @ fresh.x), fresh.y)
+        et = et_condition_check(fresh.gamma, beta, eta, stats)
+        assert sel.x.tobytes() == fresh.x.tobytes()
+        assert (sel.y, sel.gamma, sel.objective, sel.index, sel.et) == (
+            fresh.y, fresh.gamma, fresh.objective, fresh.index, et)
+    assert remote.teaching_samples == steps
+    assert calls[0] == len(estimates) < steps
 
 
 def test_selection_et_report_is_taken_at_the_teachers_estimate():
