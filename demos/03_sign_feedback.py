@@ -27,8 +27,9 @@ student = ts.LearnerState(w=w, eta=0.5, loss="logistic", feedback="sign")
 remote = ts.RemoteLearner(student, fmap)
 
 print("== angle contraction, one bit at a time ==")
-cfg = ts.RecoveryConfig(eps_est=1e-4, known_norm=float(np.linalg.norm(v_true)),
-                        query_seed=21)
+# the exam asks the student for the norm of its weights, which no sign
+# answer can reveal
+cfg = ts.RecoveryConfig(eps_est=1e-4, query_seed=21)
 res = ts.construct_virtual_learner(remote, cfg)
 
 

@@ -60,6 +60,9 @@ def _parse_seed_range(text):
     except ValueError:
         _fail("config", _EXIT_CONFIG,
               f"--seeds expects integer endpoints, got {text!r}")
+    if min(lo, hi) < 0:
+        _fail("config", _EXIT_CONFIG,
+              f"--seeds endpoints must be >= 0, got {text!r}")
     if hi < lo:
         _fail("config", _EXIT_CONFIG,
               f"--seeds range is empty: {text}")

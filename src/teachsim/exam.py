@@ -12,7 +12,7 @@ recovery into a problem about v = G^T w in the teacher's own space:
 * sign F: only the direction of v is observable, so it is found by one
   bisection of halfspace probes, whose count depends on d, the norm and
   the accuracy asked for but not on the answers, and rescaled by the
-  externally supplied norm of G^T w.
+  norm of G^T w, which the student discloses out of band.
 
 All exams leave the student untouched; only teaching steps move w.
 """
@@ -51,17 +51,18 @@ class RemoteLearner:
     Wraps a learner state together with the feature map and exposes just
     the protocol surface: feedback queries, teaching steps, and the public
     facts of the protocol (dimensions, loss/feedback kinds, whether the
-    map is conjugate-orthogonal).  Weights stay behind
-    ``observe_parameters``, which exists for white-box baselines and
-    counts every use so tests can prove the black-box teachers never call
-    it.
+    map is conjugate-orthogonal, and the disclosed norm).  The weights
+    stay behind ``observe_parameters``, which exists for white-box
+    baselines and counts every use so tests can prove the black-box
+    teachers never call it.  ``state`` is the harness's handle for its
+    metrics; no teacher reads it.
     """
 
     def __init__(self, learner, fmap):
-        if learner.dim != fmap.s:
+        if learner.dim != fmap.d:
             raise ValueError(
-                f"learner dimension {learner.dim} != map output dimension "
-                f"{fmap.s}")
+                f"learner dimension {learner.dim} != map dimension "
+                f"{fmap.d}")
         self._state = learner
         self._fmap = fmap
         self.query_samples = 0
@@ -90,10 +91,6 @@ class RemoteLearner:
     def state(self):
         """Current learner state (harness/evaluation access)."""
         return self._state
-
-    @property
-    def fmap(self):
-        return self._fmap
 
     def query(self, x):
         """Feedback F(<w, G x>) for a teacher-space query x.
@@ -127,14 +124,14 @@ class RemoteLearner:
         self.teaching_samples += 1
 
     def observe_parameters(self):
-        """White-box read of the student weights (counted)."""
+        """White-box read of the teacher-space weights G^T w (counted)."""
         self.white_box_reads += 1
-        return np.array(self._state.w)
+        return conjugate_apply(self._fmap, self._state.w)
 
     def disclosed_norm(self):
-        """||G^T w||, the one scalar the protocol reveals to sign-feedback
-        teachers (the sign channel is scale-blind, so the norm must be
-        supplied out of band).  Counted separately from white-box reads."""
+        """||G^T w||, the one scalar the protocol reveals, asked once by
+        each sign exam (the sign channel is scale-blind, so the norm must
+        be supplied out of band).  Counted apart from white-box reads."""
         self.norm_disclosures += 1
         return float(np.linalg.norm(conjugate_apply(self._fmap,
                                                     self._state.w)))
@@ -142,16 +139,14 @@ class RemoteLearner:
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    """Knobs for virtual-learner construction.
+    """The [recovery] keys of a run config.
 
     eps_est: target bound on ||v_hat - G^T w|| for the sign exam, which
       bisects until it certifies it.
-    known_norm: ||G^T w||, which sign feedback cannot reveal.
     query_seed, standard_queries: the exact exams' query directions, as
       make_basis_queries takes its seed and standard arguments.
     """
     eps_est: float = 1e-6
-    known_norm: float | None = None
     query_seed: int = 0
     standard_queries: bool = False
 
@@ -159,9 +154,6 @@ class RecoveryConfig:
         if not 0 < self.eps_est < math.inf:  # NaN fails it too
             raise ValueError(
                 f"eps_est must be finite and > 0, got {self.eps_est}")
-        if self.known_norm is not None and not 0 < self.known_norm < math.inf:
-            raise ValueError(
-                f"known_norm must be finite and > 0, got {self.known_norm}")
 
 
 @dataclass(frozen=True)
@@ -172,17 +164,20 @@ class ExamResult:
     sigmoid channel, the inversion error: how far the rounding of each
     response can move F^-1(r), propagated through the query matrix.  The
     sign branch reports a certified bound on sin(angle) between the
-    estimated and true directions, plus the direction estimates it
-    recorded along the way (see approx_recover_sign) for diagnostics.
+    estimated and true directions, the disclosed norm it rescaled by,
+    the direction estimates it recorded along the way (see
+    approx_recover_sign) for diagnostics, and its innovation
+    ||v_hat - prior||, 0.0 when it was given no prior.  Exact exams take
+    no prior.
     """
     v_hat: np.ndarray
     queries_used: int
-    kind: str
     residual: float | None = None
     inversion_error: float = 0.0
     angle_bound: float | None = None
     known_norm: float | None = None
     alpha_history: tuple = field(default=())
+    innovation: float = 0.0
 
     def __post_init__(self):
         v = np.array(self.v_hat, dtype=np.float64)
@@ -269,8 +264,7 @@ def exact_recover_bijective(queries, responses, feedback):
     inversion = (_sigmoid_inversion_error(responses, rhs, float(svals[-1]))
                  if feedback == "sigmoid" else 0.0)
     return ExamResult(v_hat=v_hat, queries_used=len(queries),
-                      kind="exact_bijective", residual=residual,
-                      inversion_error=inversion)
+                      residual=residual, inversion_error=inversion)
 
 
 def _tangent_frame(alpha):
@@ -395,15 +389,20 @@ class _Chart:
         estimate = self.alpha0 + self.taus @ self.center
         return estimate / np.linalg.norm(estimate)
 
-    def result(self, norm, direction, history):
+    def result(self, norm, direction, history, prior):
         """The exam: norm times a unit direction, certified by err."""
-        return ExamResult(v_hat=norm * direction, queries_used=self.queries,
-                          kind="approx_sign", angle_bound=self.err,
-                          known_norm=norm, alpha_history=tuple(history))
+        v_hat = norm * direction
+        innovation = (0.0 if prior is None
+                      else float(np.linalg.norm(v_hat - prior)))
+        return ExamResult(v_hat=v_hat, queries_used=self.queries,
+                          angle_bound=self.err, known_norm=norm,
+                          alpha_history=tuple(history),
+                          innovation=innovation)
 
 
-def approx_recover_sign(sign_oracle, d, config, prior=None, radius=None):
-    """Estimate v = G^T w from sign feedback plus its known norm.
+def approx_recover_sign(sign_oracle, d, norm, eps_est, prior=None,
+                        radius=None):
+    """Estimate v = G^T w from sign feedback plus its norm ||v|| > 0.
 
     Sign responses expose only which side of each queried hyperplane the
     direction u = v / ||v|| lies on.  The exam bisects the chart
@@ -446,13 +445,14 @@ def approx_recover_sign(sign_oracle, d, config, prior=None, radius=None):
     final estimate).  When the prior cannot anchor the chart the cold
     exam runs after all, and queries_used also counts the warm attempt
     (none for a zero or non-finite prior, which has no direction).  At
-    d = 1 a prior has nothing to warm.
+    d = 1 a prior has nothing to warm.  Either way a prior sets the
+    result's innovation.
     """
-    if config.known_norm is None:
-        raise ValueError("sign recovery requires known_norm")
+    for name, value in (("norm", norm), ("eps_est", eps_est)):
+        if not 0 < value < math.inf:  # NaN fails it too
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    norm = config.known_norm
     spent, brackets, checkpoint = 0, None, None
     if prior is not None and d > 1:
         # checked only for d > 1: a d = 1 ActiveTeacher re-exams at radius 0.0
@@ -484,11 +484,11 @@ def approx_recover_sign(sign_oracle, d, config, prior=None, radius=None):
                 history.append(chart.estimate())
 
     chart.open(*brackets)
-    chart.bisect(norm * 2.0, config.eps_est, checkpoint)
+    chart.bisect(norm * 2.0, eps_est, checkpoint)
     estimate = chart.estimate()
     if checkpoint is None:
         history = [chart.alpha0, estimate]
-    return chart.result(norm, estimate, history)
+    return chart.result(norm, estimate, history, prior)
 
 
 def _gallop(chart, radius):
@@ -529,21 +529,31 @@ def _gallop(chart, radius):
     return lo, hi
 
 
-def construct_virtual_learner(remote, config, prior=None, radius=None):
+def construct_virtual_learner(remote, config, prior=None, last=None):
     """Run the exam appropriate to the student's feedback channel.
 
     Dispatches on feedback kind: identity/sigmoid use d basis queries and
     a linear solve; hinge-value asks each basis query q and then -q, and
     solves the differences as identity answers (2d queries); sign
-    feedback runs the iterative direction search (requires
-    config.known_norm).  prior and radius warm-start the sign search (see
-    approx_recover_sign); the exact exams need no prior and ignore them.
+    feedback asks the student for the norm ||G^T w|| (one
+    remote.disclosed_norm() per exam) and runs the direction search.
+    The exact exams need no prior and ignore prior and last.
+
+    A sign exam given the caller's estimate ``prior`` of v is warm (see
+    approx_recover_sign), and ``last``, the caller's previous ExamResult,
+    sizes its gallop: the radius is last's innovation per chart
+    coordinate, ||v_exam - v_propagated|| / sqrt(max(d - 1, 1)), floored at
+    last's certified error, both relative to last's disclosed norm.
     """
     d = remote.dim
     kind = remote.feedback
     if kind == "sign":
-        return approx_recover_sign(remote.query, d, config, prior=prior,
-                                   radius=radius)
+        radius = None
+        if last is not None:
+            radius = max(last.innovation / math.sqrt(max(d - 1, 1)),
+                         last.est_error()) / last.known_norm
+        return approx_recover_sign(remote.query, d, remote.disclosed_norm(),
+                                   config.eps_est, prior=prior, radius=radius)
     if kind not in ("identity", "sigmoid", "hinge_value"):
         raise ValueError(f"no exam protocol for feedback {kind!r}")
     queries = make_basis_queries(d, config.query_seed,

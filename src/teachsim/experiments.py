@@ -391,7 +391,7 @@ def _build_mode(config, train_x, train_y):
 
 def _initial_learner(config, fmap):
     gen = substream(config.w0_seed, KEY_INIT)
-    w0 = gen.standard_normal(fmap.s)
+    w0 = gen.standard_normal(fmap.d)
     w0 = w0 / np.linalg.norm(w0)
     return LearnerState(w=w0, eta=config.eta, loss=config.loss,
                         feedback=config.feedback,
@@ -425,9 +425,10 @@ def _make_teacher(kind, config, v_star, mode, spectral):
 class _Evaluator:
     """Omniscient metric computation shared by all runners."""
 
-    def __init__(self, v_star, train_x, train_y, test_x, test_y, loss,
+    def __init__(self, v_star, fmap, train_x, train_y, test_x, test_y, loss,
                  classification):
         self.v_star = v_star
+        self.fmap = fmap
         self.train_x = train_x
         self.train_y = train_y
         self.test_x = test_x
@@ -436,7 +437,7 @@ class _Evaluator:
         self.classification = classification
 
     def row(self, iteration, remote):
-        v_t = conjugate_apply(remote.fmap, remote.state.w)
+        v_t = conjugate_apply(self.fmap, remote.state.w)
         z = self.train_x @ v_t
         objective = float(np.mean(loss_value(self.loss, z, self.train_y)))
         param_dist = float(np.linalg.norm(v_t - self.v_star))
@@ -462,7 +463,7 @@ def _prepare(config):
     v_star = train_optimal(train_x, train_y, config.loss, config.ridge)
     fmap = random_map(train_x.shape[1], config.map_kind, config.map_seed)
     mode = _build_mode(config, train_x, train_y)
-    evaluator = _Evaluator(v_star, train_x, train_y, test_x, test_y,
+    evaluator = _Evaluator(v_star, fmap, train_x, train_y, test_x, test_y,
                            config.loss, classification)
     return v_star, fmap, mode, evaluator, spectral_stats(fmap)
 

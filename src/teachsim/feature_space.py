@@ -1,6 +1,6 @@
 """Linear maps between the teacher's and the student's feature spaces.
 
-The teacher works in R^d, the student in R^s, connected by a one-to-one
+The teacher and the student both work in R^d, connected by an invertible
 linear map G (a student sees G x where the teacher wrote x).  Everything
 downstream leans on two facts: <w, G x> = <G^T w, x>, and the extreme
 eigenvalues of G^T G control how fast teaching can contract.  This module
@@ -21,17 +21,17 @@ _UNITARY_TOL = 1e-10
 
 
 class FeatureMap:
-    """Invertible linear map from teacher space R^d to student space R^s.
+    """Invertible linear map from teacher space R^d to student space R^d.
 
-    Only square maps (s == d) are supported; the matrix must be far from
-    singular (smallest singular value above 1e-10).  ``is_unitary`` records
-    that G^T G = I, which lets teachers skip repeated feedback exams.
-    ``is_identity`` records, once, that the matrix equals I entry for
+    Only square maps are supported; the matrix must be far from singular
+    (smallest singular value above 1e-10).  ``is_unitary`` records that
+    max|G^T G - I| <= 1e-10, which lets teachers skip repeated feedback
+    exams.  ``is_identity`` records that the matrix equals I entry for
     entry, so that a query can skip the product G x (see
-    RemoteLearner.query).
+    RemoteLearner.query).  Both are read off the matrix once, here.
     """
 
-    def __init__(self, matrix, is_unitary=False):
+    def __init__(self, matrix):
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2:
             raise ValueError(f"map matrix must be 2-D, got shape {m.shape}")
@@ -45,17 +45,12 @@ class FeatureMap:
             raise ValueError(
                 f"map is numerically singular (smallest singular value "
                 f"{svals[-1]:.3e})")
-        if is_unitary:
-            dev = np.max(np.abs(m.T @ m - np.eye(m.shape[1])))
-            if dev > _UNITARY_TOL:
-                raise ValueError(
-                    f"matrix flagged unitary but max|G^T G - I| = {dev:.3e}")
         self.matrix = m
         self.matrix.setflags(write=False)
         self.d = m.shape[1]
-        self.s = m.shape[0]
-        self.is_unitary = bool(is_unitary)
-        self.is_identity = bool(np.array_equal(m, np.eye(self.d)))
+        eye = np.eye(self.d)
+        self.is_unitary = bool(np.max(np.abs(m.T @ m - eye)) <= _UNITARY_TOL)
+        self.is_identity = bool(np.array_equal(m, eye))
 
     def __repr__(self):
         tag = "unitary" if self.is_unitary else "general"
@@ -86,9 +81,9 @@ def conjugate_apply(fmap, w):
     Satisfies <w, apply_map(G, x)> = <conjugate_apply(G, w), x>.
     """
     w = np.asarray(w, dtype=np.float64)
-    if w.shape[-1] != fmap.s:
+    if w.shape[-1] != fmap.d:
         raise ValueError(
-            f"conjugate expects dimension {fmap.s}, got {w.shape[-1]}")
+            f"conjugate expects dimension {fmap.d}, got {w.shape[-1]}")
     return fmap.matrix.T @ w
 
 
@@ -135,13 +130,13 @@ def random_map(dim, kind, seed):
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if kind == "identity":
-        return FeatureMap(np.eye(dim), is_unitary=True)
+        return FeatureMap(np.eye(dim))
     gen = substream(seed, KEY_MAP)
     if kind == "unitary":
         a = gen.standard_normal((dim, dim))
         q, r = np.linalg.qr(a)
         q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
-        return FeatureMap(q, is_unitary=True)
+        return FeatureMap(q)
     if kind == "general":
         m = None
         for _ in range(8):
@@ -161,7 +156,7 @@ def random_map(dim, kind, seed):
             else:
                 fixed = top / 8.0 + (svals - lo) * (top - top / 8.0) / (hi - lo)
             m = (u * fixed) @ vt
-        return FeatureMap(m, is_unitary=False)
+        return FeatureMap(m)
     raise ValueError(f"unknown map kind {kind!r}")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exam import RecoveryConfig, construct_virtual_learner
-from .feature_space import conjugate_apply, span_basis
+from .feature_space import span_basis
 from .learners import _check_labels, _loss_grad_kernel, loss_grad
 from .rng import KEY_SELECT, substream
 
@@ -599,10 +599,10 @@ class _GreedyTeacher:
 
 
 class OmniscientTeacher(_GreedyTeacher):
-    """White-box teacher: reads the student weights and map directly."""
+    """White-box teacher: reads G^T w at every step (a counted read)."""
 
     def step(self, remote):
-        v = conjugate_apply(remote.fmap, remote.observe_parameters())
+        v = remote.observe_parameters()
         taught = self._greedy_step(v, remote)
         return None if taught is None else taught[0]
 
@@ -615,13 +615,10 @@ class ActiveTeacher(_GreedyTeacher):
     after (sound when the map is conjugate-orthogonal, where the initial
     estimation error is provably never amplified); an integer period
     re-examines every that-many iterations.  "auto" means None for
-    unitary maps and 1 otherwise.
-
-    With sign feedback a re-exam is warm: it anchors the search at the
-    propagated estimate (see approx_recover_sign).  Its gallop radius is
-    the last sign exam's innovation ||v_exam - v_propagated|| per chart
-    coordinate, floored at that exam's certified error, both relative
-    to the disclosed norm.
+    unitary maps and 1 otherwise.  Every exam passes the propagated
+    estimate and the last exam to construct_virtual_learner, so a sign
+    re-exam is warm and sized by the last one; the exact exams ignore
+    both.
 
     ``virtual`` is the read-only estimate of G^T w: the last exam's v_hat,
     propagated through every step since.  ``last_exam`` is that exam's
@@ -639,7 +636,6 @@ class ActiveTeacher(_GreedyTeacher):
         self.last_exam = None
         self._t = 0
         self._last_exam_t = None
-        self._radius = None
 
     def prime(self, remote):
         """Run the background exam now instead of lazily on first step.
@@ -661,27 +657,12 @@ class ActiveTeacher(_GreedyTeacher):
                 and self._t % period == 0)
 
     def _examine(self, remote):
-        if remote.feedback == "sign":
-            result = self._sign_exam(remote)
-        else:
-            result = construct_virtual_learner(remote, self.recovery)
+        result = construct_virtual_learner(remote, self.recovery,
+                                           prior=self.virtual,
+                                           last=self.last_exam)
         self.last_exam = result
         self.virtual = result.v_hat
         self._last_exam_t = self._t
-
-    def _sign_exam(self, remote):
-        """A sign exam, warm when the teacher already has an estimate."""
-        norm = remote.disclosed_norm()
-        cfg = replace(self.recovery, known_norm=norm)
-        prior = self.virtual
-        result = construct_virtual_learner(remote, cfg, prior=prior,
-                                           radius=self._radius)
-        innovation = (0.0 if prior is None
-                      else float(np.linalg.norm(result.v_hat - prior)))
-        chart_dims = math.sqrt(max(remote.dim - 1, 1))
-        self._radius = max(innovation / chart_dims,
-                           result.est_error()) / norm
-        return result
 
     def step(self, remote):
         if self._exam_due(remote):

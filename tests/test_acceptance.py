@@ -221,10 +221,10 @@ def test_07_sign_feedback_search_contracts_at_certified_rate():
             st = ts.LearnerState(w=w, eta=1e-4, loss="logistic",
                                  feedback="sign")
             rem = ts.RemoteLearner(st, fmap)
-            cfg = ts.RecoveryConfig(eps_est=1e-3,
-                                    known_norm=float(np.linalg.norm(v)),
-                                    query_seed=k)
+            # the exam asks the student for ||v||, once
+            cfg = ts.RecoveryConfig(eps_est=1e-3, query_seed=k)
             res = ts.construct_virtual_learner(rem, cfg)
+            assert rem.norm_disclosures == 1
             sines = [_sin_angle(a, v) for a in res.alpha_history]
             for i, s in enumerate(sines):
                 worst_excess = max(worst_excess,

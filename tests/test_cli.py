@@ -162,6 +162,18 @@ def test_exit_code_bad_seed_range(cfg_path, tmp_path, capsys):
     assert "error[config]:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["-1..0", "-3..-2", "0..-1"])
+def test_negative_seed_range_endpoint_is_a_config_error(seeds, cfg_path,
+                                                        tmp_path, capsys):
+    # like --seed -1, which fails on run.seed before anything runs
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg_path, "--out", str(out),
+                 f"--seeds={seeds}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error[config]: --seeds endpoints must be >= 0, got {seeds!r}\n")
+    assert not out.exists()
+
+
 def test_exit_code_io_errors(tmp_path, capsys):
     assert main(["plot", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "x.svg")]) == 4

@@ -1,6 +1,6 @@
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -276,8 +276,6 @@ def _exam_record(recovery, feedback):
     remote = _RecordingRemote(LearnerState(w=gen.standard_normal(4), eta=0.1,
                                            loss="logistic",
                                            feedback=feedback), fmap)
-    if feedback == "sign":
-        recovery = replace(recovery, known_norm=remote.disclosed_norm())
     result = construct_virtual_learner(remote, recovery)
     return remote.sent, result.v_hat.tobytes()
 
@@ -300,6 +298,26 @@ def test_every_recovery_key_changes_an_exam(key):
     moved = replace(default, **{entry.field: moved})
     assert any(_exam_record(default, feedback) != _exam_record(moved, feedback)
                for feedback in ("sign", "identity"))
+
+
+def test_the_schema_and_the_config_objects_name_the_same_knobs():
+    # every field of a config object is the target of exactly one INI
+    # key, and every key sets an existing field: a field that no key
+    # reaches can be neither configured nor written to a manifest
+    targets = {"config": ExperimentConfig, "dataset": DatasetSpec,
+               "recovery": RecoveryConfig, "scenario": ScenarioSpec}
+    fields_of = {(target, f.name) for target, cls in targets.items()
+                 for f in fields(cls)
+                 if (target, f.name) not in (("config", "dataset"),
+                                             ("config", "recovery"))}
+    keys_of = {}
+    for section, entries in _SCHEMA.items():
+        for key, entry in entries.items():
+            keys_of.setdefault((entry.target, entry.field), []).append(
+                f"{section}.{key}")
+    assert sorted(set(keys_of) - fields_of) == []  # a key without a field
+    assert sorted(fields_of - set(keys_of)) == []  # a field without a key
+    assert {k: v for k, v in keys_of.items() if len(v) > 1} == {}
 
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)

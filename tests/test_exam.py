@@ -143,7 +143,7 @@ def test_every_exact_exam_goes_through_one_solver(monkeypatch):
             ("hinge_value", "hinge", "exact_recover_bijective"),
             ("sign", "logistic", "approx_recover_sign")):
         rem = _remote(w, feedback, fmap, loss=loss)
-        cfg = RecoveryConfig(query_seed=1, known_norm=1.0)
+        cfg = RecoveryConfig(query_seed=1)
         for _ in range(2):
             calls.clear()
             construct_virtual_learner(rem, cfg)
@@ -193,17 +193,24 @@ def _sin_angle(a, b):
 
 
 def test_sign_recovery_one_dimension_is_exact():
-    cfg = RecoveryConfig(known_norm=2.5, query_seed=0)
-    res = approx_recover_sign(_sign_oracle_for([-3.0]), 1, cfg)
+    res = approx_recover_sign(_sign_oracle_for([-3.0]), 1, 2.5, 1e-6)
     np.testing.assert_array_equal(res.v_hat, [-2.5])
     assert res.queries_used == 1
     assert res.angle_bound == 0.0
 
 
 def test_sign_recovery_requires_known_norm():
-    with pytest.raises(ValueError, match="known_norm"):
-        approx_recover_sign(_sign_oracle_for([1.0, 2.0]), 2,
-                            RecoveryConfig(query_seed=0))
+    # the norm the student discloses, checked where the exam uses it
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="norm must be finite and > 0"):
+            approx_recover_sign(_sign_oracle_for([1.0, 2.0]), 2, bad, 1e-6)
+
+
+def test_sign_recovery_requires_a_positive_finite_eps_est():
+    # a NaN or negative target would bisect to the float floor
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps_est must be finite"):
+            approx_recover_sign(_sign_oracle_for([1.0, 2.0]), 2, 1.0, bad)
 
 
 def test_sign_recovery_direction_and_error_bound():
@@ -212,8 +219,7 @@ def test_sign_recovery_direction_and_error_bound():
         d = int(gen.integers(2, 20))
         v = gen.standard_normal(d)
         norm = float(np.linalg.norm(v))
-        cfg = RecoveryConfig(eps_est=1e-5, known_norm=norm, query_seed=trial)
-        res = approx_recover_sign(_sign_oracle_for(v), d, cfg)
+        res = approx_recover_sign(_sign_oracle_for(v), d, norm, 1e-5)
         err = float(np.linalg.norm(res.v_hat - v))
         # honest bound: measured error within the certified estimate
         assert err <= res.est_error() + 1e-12
@@ -230,9 +236,8 @@ def test_sign_recovery_round_contraction_certificate():
     for trial in range(8):
         d = int(gen.integers(2, 16))
         v = gen.standard_normal(d)
-        cfg = RecoveryConfig(eps_est=1e-9, known_norm=float(np.linalg.norm(v)),
-                             query_seed=trial)
-        res = approx_recover_sign(_sign_oracle_for(v), d, cfg)
+        res = approx_recover_sign(_sign_oracle_for(v), d,
+                                  float(np.linalg.norm(v)), 1e-9)
         sines = [_sin_angle(np.asarray(a), v) for a in res.alpha_history]
         for k, s in enumerate(sines):
             assert s <= rho ** k * sines[0] + 1e-12, (
@@ -264,12 +269,12 @@ def test_sign_recovery_certifies_an_aligned_student():
     d = 9
     signs = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
     v = 4.2 * signs / np.sqrt(d)
-    cfg = RecoveryConfig(known_norm=4.2, query_seed=0)
-    res = approx_recover_sign(_sign_oracle_for(v), d, cfg)
-    assert res.queries_used == _cold_exam_queries(d, 4.2, cfg.eps_est) == 218
+    eps_est = RecoveryConfig().eps_est
+    res = approx_recover_sign(_sign_oracle_for(v), d, 4.2, eps_est)
+    assert res.queries_used == _cold_exam_queries(d, 4.2, eps_est) == 218
     assert len(res.alpha_history) == 1
     assert float(np.linalg.norm(res.v_hat - v)) <= res.est_error()
-    assert res.est_error() <= cfg.eps_est
+    assert res.est_error() <= eps_est
 
 
 def test_sign_recovery_scale_invariance():
@@ -278,10 +283,8 @@ def test_sign_recovery_scale_invariance():
     gen = np.random.default_rng(8)
     v = gen.standard_normal(6)
     norm = float(np.linalg.norm(v))
-    cfg1 = RecoveryConfig(eps_est=1e-7, known_norm=norm, query_seed=2)
-    cfg3 = RecoveryConfig(eps_est=3e-7, known_norm=3 * norm, query_seed=2)
-    res1 = approx_recover_sign(_sign_oracle_for(v), 6, cfg1)
-    res3 = approx_recover_sign(_sign_oracle_for(3.0 * v), 6, cfg3)
+    res1 = approx_recover_sign(_sign_oracle_for(v), 6, norm, 1e-7)
+    res3 = approx_recover_sign(_sign_oracle_for(3.0 * v), 6, 3 * norm, 3e-7)
     assert res1.queries_used == res3.queries_used
     assert len(res1.alpha_history) == len(res3.alpha_history)
     for a, b in zip(res1.alpha_history, res3.alpha_history):
@@ -355,10 +358,11 @@ def test_sign_exam_error_within_its_certificate(d, map_kind, prior_kind,
     w = v if map_kind == "identity" else np.linalg.solve(fmap.matrix.T, v)
     true_v = conjugate_apply(fmap, w)
     norm = float(np.linalg.norm(true_v))
-    cfg = RecoveryConfig(eps_est=10.0 ** log_eps * norm, known_norm=norm)
+    cfg = RecoveryConfig(eps_est=10.0 ** log_eps * norm)
     radius = 10.0 ** log_radius
     rem = _sign_remote(w, fmap)
-    res = construct_virtual_learner(rem, cfg, prior=prior, radius=radius)
+    res = approx_recover_sign(rem.query, d, rem.disclosed_norm(),
+                              cfg.eps_est, prior=prior, radius=radius)
     assert res.queries_used == rem.query_samples
     err = float(np.linalg.norm(res.v_hat - true_v))
     assert err <= res.est_error() + 1e-12 * norm
@@ -366,7 +370,9 @@ def test_sign_exam_error_within_its_certificate(d, map_kind, prior_kind,
     # every exam, cold or warm, certifies the eps_est target
     assert norm * 2.0 * res.angle_bound <= cfg.eps_est
     if prior is None:
+        assert res.innovation == 0.0
         return
+    assert res.innovation == float(np.linalg.norm(res.v_hat - prior))
     # a warm exam anchors at the prior; one whose prior cannot anchor
     # the chart runs the cold exam after its own queries
     scale = np.linalg.norm(prior)
@@ -382,23 +388,45 @@ def test_sign_exam_error_within_its_certificate(d, map_kind, prior_kind,
         assert not warm
 
 
+class _DisclosingRemote:
+    """A sign student over a 2-d map that discloses the given norm."""
+    dim, feedback = 2, "sign"
+    query = staticmethod(_sign_oracle_for([1.0, 2.0]))
+
+    def __init__(self, norm):
+        self._norm = norm
+
+    def disclosed_norm(self):
+        return self._norm
+
+
+_RECOVERY_REJECTS = {
+    # a NaN eps_est would let the sign search run to the float floor
+    "eps_est": (lambda bad: RecoveryConfig(eps_est=bad), "eps_est"),
+    # the known norm is no config key: the sign exam checks the one the
+    # student discloses
+    "known_norm": (lambda bad: construct_virtual_learner(
+        _DisclosingRemote(bad), RecoveryConfig()),
+        "norm must be finite and > 0"),
+}
+
+
 @pytest.mark.parametrize("key", ("eps_est", "known_norm"))
 @pytest.mark.parametrize("bad", (0.0, -1.0, float("nan"), float("inf")))
 def test_recovery_config_rejects_non_positive_or_non_finite(key, bad):
-    # a NaN eps_est would let the sign search run to the float floor
-    with pytest.raises(ValueError, match=key):
-        RecoveryConfig(**{key: bad})
+    build, message = _RECOVERY_REJECTS[key]
+    with pytest.raises(ValueError, match=message):
+        build(bad)
 
 
 def test_sign_exam_prior_needs_a_radius():
-    cfg = RecoveryConfig(known_norm=1.0)
     oracle = _sign_oracle_for([1.0, 2.0])
     with pytest.raises(ValueError, match="radius"):
-        approx_recover_sign(oracle, 2, cfg, prior=np.ones(2))
+        approx_recover_sign(oracle, 2, 1.0, 1e-6, prior=np.ones(2))
     # a prior without a direction leaves the exam cold
-    zero = approx_recover_sign(oracle, 2, cfg, prior=np.zeros(2),
+    zero = approx_recover_sign(oracle, 2, 1.0, 1e-6, prior=np.zeros(2),
                                radius=0.1)
-    cold = approx_recover_sign(oracle, 2, cfg)
+    cold = approx_recover_sign(oracle, 2, 1.0, 1e-6)
     assert zero.queries_used == cold.queries_used
     np.testing.assert_array_equal(zero.v_hat, cold.v_hat)
 
@@ -452,9 +480,11 @@ def test_each_sign_probe_is_one_remote_query(monkeypatch, case, map_kind):
     fmap = random_map(d, map_kind, 7)
     prior, v = _sign_probe_case(case, d, gen)
     w = v if map_kind == "identity" else np.linalg.solve(fmap.matrix.T, v)
-    cfg = RecoveryConfig(eps_est=1e-6, known_norm=float(np.linalg.norm(v)))
+    cfg = RecoveryConfig(eps_est=1e-6)
     remote = _sign_remote(w, fmap)
-    res = construct_virtual_learner(remote, cfg, prior=prior, radius=1e-3)
+    norm = remote.disclosed_norm()
+    res = approx_recover_sign(remote.query, d, norm, cfg.eps_est,
+                              prior=prior, radius=1e-3)
     assert calls[0] == res.queries_used == remote.query_samples
     assert products[0] == (0 if map_kind == "identity" else calls[0])
     # and the exam took the path its case names
@@ -469,8 +499,7 @@ def test_each_sign_probe_is_one_remote_query(monkeypatch, case, map_kind):
         assert res.queries_used > cold.queries_used + 1
         np.testing.assert_array_equal(res.v_hat, cold.v_hat)
     elif case == "pinned":
-        assert res.queries_used == _cold_exam_queries(d, cfg.known_norm,
-                                                      cfg.eps_est)
+        assert res.queries_used == _cold_exam_queries(d, norm, cfg.eps_est)
         assert len(res.alpha_history) == 1
 
 
@@ -484,14 +513,15 @@ def test_construct_virtual_learner_all_feedbacks():
     for feedback, loss in (("identity", "square"), ("sigmoid", "logistic"),
                            ("hinge_value", "hinge"), ("sign", "logistic")):
         rem = _remote(w, feedback, fmap, loss=loss)
-        cfg = RecoveryConfig(query_seed=3, eps_est=1e-6,
-                             known_norm=float(np.linalg.norm(true_v)))
+        cfg = RecoveryConfig(query_seed=3, eps_est=1e-6)
         res = construct_virtual_learner(rem, cfg)
         tol = 1e-8 if feedback != "sign" else 1e-5
         np.testing.assert_allclose(res.v_hat, true_v, rtol=0, atol=tol)
         assert rem.query_samples == res.queries_used
         assert rem.teaching_samples == 0  # exams never teach
         assert rem.white_box_reads == 0  # or peek at the weights
+        # only the sign exam asks for the norm, once
+        assert rem.norm_disclosures == (feedback == "sign")
 
 
 def test_exam_query_counts_by_feedback(monkeypatch):
@@ -571,6 +601,15 @@ def test_remote_learner_counters_and_teaching():
     np.testing.assert_allclose(n, 0.5)
 
 
+def test_observe_parameters_reads_the_teacher_space_weights():
+    fmap = random_map(4, "general", 3)
+    w = np.random.default_rng(3).standard_normal(4)
+    rem = RemoteLearner(LearnerState(w=w, eta=0.1, loss="square",
+                                     feedback="identity"), fmap)
+    assert rem.observe_parameters().tobytes() == (fmap.matrix.T @ w).tobytes()
+    assert rem.white_box_reads == 1
+
+
 # Signed zeros and subnormals among plain and wide-ranging finite entries
 _ENTRIES = st.one_of(st.floats(-10.0, 10.0),
                      st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310,
@@ -586,9 +625,9 @@ def _answer_bits(answer):
     return struct.pack("<d", answer)
 
 
-def _reference_query(remote, x):
+def _reference_query(remote, fmap, x):
     """The general query path: respond(state, apply_map(fmap, x))."""
-    return respond(remote.state, apply_map(remote.fmap, x))
+    return respond(remote.state, apply_map(fmap, x))
 
 
 @st.composite
@@ -638,7 +677,7 @@ def test_identity_map_query_is_one_ddot_with_the_products_bits(case):
         products[0] = 0
         with pytest.MonkeyPatch.context() as patch, np.errstate(
                 over="ignore", invalid="ignore"):
-            expected = _reference_query(remote, x)
+            expected = _reference_query(remote, fmap, x)
             patch.setattr(teachsim.exam, "apply_map", counted_product)
             answer = remote.query(x)
         assert _answer_bits(answer) == _answer_bits(expected), feedback
@@ -675,7 +714,8 @@ def test_identity_map_query_of_any_other_input_answers_as_before(layout):
         remote = RemoteLearner(LearnerState(w=w, eta=0.1, loss="square",
                                             feedback=feedback), fmap)
         try:
-            expected = ("answer", _answer_bits(_reference_query(remote, x)))
+            expected = ("answer",
+                        _answer_bits(_reference_query(remote, fmap, x)))
         except ValueError as exc:
             expected = ("error", str(exc))
         try:
@@ -688,10 +728,9 @@ def test_identity_map_query_of_any_other_input_answers_as_before(layout):
 
 
 def test_exam_result_est_error_forms():
-    r1 = ExamResult(v_hat=np.ones(2), queries_used=2, kind="exact_basis",
-                    residual=1e-10)
+    r1 = ExamResult(v_hat=np.ones(2), queries_used=2, residual=1e-10)
     assert r1.est_error() == 1e-10
-    r2 = ExamResult(v_hat=np.ones(2), queries_used=5, kind="approx_sign",
-                    angle_bound=1e-3, known_norm=2.0)
+    r2 = ExamResult(v_hat=np.ones(2), queries_used=5, angle_bound=1e-3,
+                    known_norm=2.0)
     # norm * 2 * angle_bound: the chord bound the sign search stops on
     np.testing.assert_allclose(r2.est_error(), 4e-3)

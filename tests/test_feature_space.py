@@ -21,9 +21,13 @@ def test_feature_map_matrix_is_frozen():
 
 
 def test_unitary_flag_checks_the_matrix():
-    assert FeatureMap(np.eye(4), is_unitary=True).is_unitary
-    with pytest.raises(ValueError, match="unitary"):
-        FeatureMap(np.diag([1.0, 2.0]), is_unitary=True)
+    assert FeatureMap(np.eye(4)).is_unitary
+    assert not FeatureMap(np.diag([1.0, 2.0])).is_unitary
+    # read off max|G^T G - I| <= 1e-10, rounding of a rotation included
+    c, s = np.cos(0.3), np.sin(0.3)
+    assert FeatureMap(np.array([[c, -s], [s, c]])).is_unitary
+    assert FeatureMap(np.diag([1.0, 1.0 + 1e-11])).is_unitary
+    assert not FeatureMap(np.diag([1.0, 1.0 + 1e-9])).is_unitary
 
 
 def test_adjoint_identity_random_maps():
@@ -63,8 +67,10 @@ def test_apply_map_matches_the_matmul_bit_for_bit(d, map_kind, fortran,
     gen = np.random.default_rng(seed)
     fmap = random_map(d, map_kind, seed)
     if fortran:
-        fmap = FeatureMap(np.asfortranarray(fmap.matrix),
-                          is_unitary=fmap.is_unitary)
+        copy = FeatureMap(np.asfortranarray(fmap.matrix))
+        assert ((copy.is_unitary, copy.is_identity)
+                == (fmap.is_unitary, fmap.is_identity))
+        fmap = copy
     x = _strided(gen, d, stride)
     assert apply_map(fmap, x).tobytes() == (fmap.matrix @ x).tobytes()
 

@@ -11,9 +11,11 @@ certifies its own estimate.  ``reference_warm_sign_search`` is the warm
 search as it stood before the cold and warm searches shared one chart
 engine; the warm exam still matches it byte for byte: the same queries
 in the same order, the same estimates, the same certificate.  Both
-references are kept verbatim, apart from their names and the two
+references are kept verbatim, apart from their names, the two
 constants the cold one once read from RecoveryConfig (rho = 0.8 and
-60 rounds).
+60 rounds), and two interface changes: they take the norm and eps_est
+as arguments, as approx_recover_sign does, where they once read both
+from a RecoveryConfig, and they no longer pass ExamResult an exam kind.
 """
 
 import math
@@ -22,8 +24,8 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from teachsim.exam import (ExamResult, RecoveryConfig, RemoteLearner,
-                           _tangent_frame, approx_recover_sign)
+from teachsim.exam import (ExamResult, RemoteLearner, _tangent_frame,
+                           approx_recover_sign)
 from teachsim.feature_space import conjugate_apply, random_map
 from teachsim.learners import LearnerState
 from test_exam import _PRIORS, _cold_exam_queries, _prior_and_target
@@ -32,7 +34,7 @@ from test_exam import _PRIORS, _cold_exam_queries, _prior_and_target
 _PIN_OFFSET = 1e-13
 
 
-def reference_recover_sign(sign_oracle, d, config):
+def reference_recover_sign(sign_oracle, d, norm, eps_est):
     """Estimate v = G^T w from sign feedback plus its known norm.
 
     Sign responses expose only which side of each queried hyperplane the
@@ -60,11 +62,8 @@ def reference_recover_sign(sign_oracle, d, config):
     chord) or after 60 rounds.  Reported angle_bound is the certified
     sine bound E_k; queries_used counts every oracle call.
     """
-    if config.known_norm is None:
-        raise ValueError("sign recovery requires known_norm")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    norm = config.known_norm
     rho = 0.8
     counter = {"n": 0}
 
@@ -76,8 +75,7 @@ def reference_recover_sign(sign_oracle, d, config):
         s = ask(np.ones(1))
         v_hat = np.array([s * norm])
         return ExamResult(v_hat=v_hat, queries_used=counter["n"],
-                          kind="approx_sign", angle_bound=0.0,
-                          known_norm=norm,
+                          angle_bound=0.0, known_norm=norm,
                           alpha_history=(np.array([s]),))
 
     eye = np.eye(d)
@@ -128,8 +126,8 @@ def reference_recover_sign(sign_oracle, d, config):
         # True direction equals the initial estimate: done in 0 rounds.
         v_hat = norm * history[0]
         return ExamResult(v_hat=v_hat, queries_used=counter["n"],
-                          kind="approx_sign", angle_bound=angle_bound,
-                          known_norm=norm, alpha_history=tuple(history))
+                          angle_bound=angle_bound, known_norm=norm,
+                          alpha_history=tuple(history))
 
     for k in range(1, 60 + 1):
         # Shrink brackets until the certified sine bound contracts by
@@ -150,16 +148,17 @@ def reference_recover_sign(sign_oracle, d, config):
         center, err = chart_state()
         history.append(alpha_from(center))
         angle_bound = err
-        if norm * 2.0 * err <= config.eps_est or err <= 1e-15:
+        if norm * 2.0 * err <= eps_est or err <= 1e-15:
             break
 
     v_hat = norm * history[-1]
     return ExamResult(v_hat=v_hat, queries_used=counter["n"],
-                      kind="approx_sign", angle_bound=angle_bound,
-                      known_norm=norm, alpha_history=tuple(history))
+                      angle_bound=angle_bound, known_norm=norm,
+                      alpha_history=tuple(history))
 
 
-def reference_warm_sign_search(sign_oracle, d, config, prior, radius):
+def reference_warm_sign_search(sign_oracle, d, norm, eps_est, prior,
+                               radius):
     """The sign search anchored at a prior, for d >= 2.
 
     Returns (result, queries spent); result is None when the prior
@@ -190,7 +189,6 @@ def reference_warm_sign_search(sign_oracle, d, config, prior, radius):
     scale = float(np.linalg.norm(prior))
     if not (math.isfinite(scale) and scale > 0):
         return None, 0
-    norm = config.known_norm
     alpha0 = np.asarray(prior, dtype=np.float64) / scale
     if sign_oracle(alpha0) < 0:
         return None, 1
@@ -226,7 +224,7 @@ def reference_warm_sign_search(sign_oracle, d, config, prior, radius):
     width = hi_a - lo_a
     err = math.sqrt(half.dot(half))
     for _ in range(64 * m):
-        if norm * 2.0 * err <= config.eps_est or err <= 1e-15:
+        if norm * 2.0 * err <= eps_est or err <= 1e-15:
             break
         j = int(width.argmax())
         mid = 0.5 * (lo[j] + hi[j])
@@ -244,7 +242,7 @@ def reference_warm_sign_search(sign_oracle, d, config, prior, radius):
     estimate = alpha0 + taus @ center
     estimate /= np.linalg.norm(estimate)
     return ExamResult(v_hat=norm * estimate, queries_used=queries,
-                      kind="approx_sign", angle_bound=err, known_norm=norm,
+                      angle_bound=err, known_norm=norm,
                       alpha_history=(alpha0, estimate)), queries
 
 
@@ -270,7 +268,7 @@ def _student_image(d, start, gen):
     return v
 
 
-def _recorded_exam(search, fmap, w, config):
+def _recorded_exam(search, fmap, w, norm, eps_est):
     """Run one sign exam; returns its queries' bytes and its result."""
     remote = RemoteLearner(LearnerState(w=w, eta=0.1, loss="square",
                                         feedback="sign"), fmap)
@@ -280,7 +278,7 @@ def _recorded_exam(search, fmap, w, config):
         sent.append(np.asarray(q, dtype=np.float64).tobytes())
         return remote.query(q)
 
-    result = search(oracle, fmap.d, config)
+    result = search(oracle, fmap.d, norm, eps_est)
     assert result.queries_used == len(sent) == remote.query_samples
     return sent, result
 
@@ -289,7 +287,7 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
-def _assert_follows_reference(sent, got, sent_ref, ref, config, d):
+def _assert_follows_reference(sent, got, sent_ref, ref, norm, eps_est, d):
     """The cold exam asks the reference's d sign queries, anchors where
     it does, and stops on its target; the two estimates lie within the
     sum of their certified errors of each other.
@@ -300,13 +298,13 @@ def _assert_follows_reference(sent, got, sent_ref, ref, config, d):
     """
     assert sent[:d] == sent_ref[:d]
     assert _bits(got.alpha_history[0]) == _bits(ref.alpha_history[0])
-    norm, e = config.known_norm, got.angle_bound
+    e = got.angle_bound
     m = d - 1
     floor = math.sqrt(m) * np.spacing(math.sqrt(m))
-    assert norm * 2.0 * e <= config.eps_est or e <= max(1e-15, floor)
+    assert norm * 2.0 * e <= eps_est or e <= max(1e-15, floor)
     gap = float(np.linalg.norm(got.v_hat - ref.v_hat))
     assert gap <= got.est_error() + ref.est_error()
-    assert (got.kind, got.known_norm) == (ref.kind, ref.known_norm)
+    assert got.known_norm == ref.known_norm == norm
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -328,11 +326,11 @@ def test_cold_search_follows_reference_probes_to_its_target(d, map_kind,
     v = _student_image(d, start, gen)
     # the student's weights w solve G^T w = v
     w = v if map_kind == "identity" else np.linalg.solve(fmap.matrix.T, v)
-    config = RecoveryConfig(eps_est=10.0 ** log_eps,
-                            known_norm=float(np.linalg.norm(v)) or 1.0)
-    sent, got = _recorded_exam(approx_recover_sign, fmap, w, config)
-    sent_ref, ref = _recorded_exam(reference_recover_sign, fmap, w, config)
-    _assert_follows_reference(sent, got, sent_ref, ref, config, d)
+    norm, eps_est = float(np.linalg.norm(v)) or 1.0, 10.0 ** log_eps
+    sent, got = _recorded_exam(approx_recover_sign, fmap, w, norm, eps_est)
+    sent_ref, ref = _recorded_exam(reference_recover_sign, fmap, w, norm,
+                                   eps_est)
+    _assert_follows_reference(sent, got, sent_ref, ref, norm, eps_est, d)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -361,13 +359,11 @@ def test_cold_exam_query_count_is_answer_free(d, map_kind, start, seed, norm,
     v *= norm / np.linalg.norm(v)
     w = v if map_kind == "identity" else np.linalg.solve(fmap.matrix.T, v)
     true_v = conjugate_apply(fmap, w)
-    config = RecoveryConfig(eps_est=10.0 ** log_eps,
-                            known_norm=float(np.linalg.norm(true_v)))
-    _, got = _recorded_exam(approx_recover_sign, fmap, w, config)
-    assert got.queries_used == _cold_exam_queries(d, config.known_norm,
-                                                  config.eps_est)
+    norm, eps_est = float(np.linalg.norm(true_v)), 10.0 ** log_eps
+    _, got = _recorded_exam(approx_recover_sign, fmap, w, norm, eps_est)
+    assert got.queries_used == _cold_exam_queries(d, norm, eps_est)
     err = float(np.linalg.norm(got.v_hat - true_v))
-    assert err <= got.est_error() <= config.eps_est
+    assert err <= got.est_error() <= eps_est
 
 
 def _far_prior_and_target(d, gen):
@@ -384,7 +380,7 @@ def _far_prior_and_target(d, gen):
     return prior, alpha0 + _tangent_frame(alpha0) @ p
 
 
-def _recorded_warm(search, fmap, w, config, prior, radius):
+def _recorded_warm(search, fmap, w, norm, eps_est, prior, radius):
     """Run one warm search; returns its queries' bytes, result, spent."""
     remote = RemoteLearner(LearnerState(w=w, eta=0.1, loss="square",
                                         feedback="sign"), fmap)
@@ -394,7 +390,7 @@ def _recorded_warm(search, fmap, w, config, prior, radius):
         sent.append(np.asarray(q, dtype=np.float64).tobytes())
         return remote.query(q)
 
-    result, spent = search(oracle, fmap.d, config, prior, radius)
+    result, spent = search(oracle, fmap.d, norm, eps_est, prior, radius)
     assert spent == len(sent) == remote.query_samples
     return sent, result, spent
 
@@ -406,7 +402,7 @@ def _assert_same_exam(got, ref):
     assert len(got.alpha_history) == len(ref.alpha_history)
     for a, b in zip(got.alpha_history, ref.alpha_history):
         assert _bits(a) == _bits(b)
-    assert (got.kind, got.known_norm) == (ref.kind, ref.known_norm)
+    assert got.known_norm == ref.known_norm
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -441,30 +437,33 @@ def test_warm_search_matches_reference_byte_for_byte(d, map_kind, prior_kind,
     # the student's weights w solve G^T w = v
     w = v if map_kind == "identity" else np.linalg.solve(fmap.matrix.T, v)
     norm = float(np.linalg.norm(v))
-    config = RecoveryConfig(eps_est=10.0 ** log_eps * norm, known_norm=norm)
+    eps_est = 10.0 ** log_eps * norm
     radius = 10.0 ** log_radius
     if prior is None:
         # a cold exam has no warm search: check the whole exam instead
         sent, got = _recorded_exam(
-            lambda o, dim, cfg: approx_recover_sign(o, dim, cfg, prior=None,
-                                                    radius=radius),
-            fmap, w, config)
-        sent_ref, ref = _recorded_exam(reference_recover_sign, fmap, w,
-                                       config)
-        _assert_follows_reference(sent, got, sent_ref, ref, config, d)
+            lambda o, dim, n, eps: approx_recover_sign(o, dim, n, eps,
+                                                       prior=None,
+                                                       radius=radius),
+            fmap, w, norm, eps_est)
+        sent_ref, ref = _recorded_exam(reference_recover_sign, fmap, w, norm,
+                                       eps_est)
+        _assert_follows_reference(sent, got, sent_ref, ref, norm, eps_est, d)
         return
     sent, got = _recorded_exam(
-        lambda o, dim, cfg: approx_recover_sign(o, dim, cfg, prior=prior,
-                                                radius=radius),
-        fmap, w, config)
+        lambda o, dim, n, eps: approx_recover_sign(o, dim, n, eps,
+                                                   prior=prior,
+                                                   radius=radius),
+        fmap, w, norm, eps_est)
     sent_ref, ref, _ = _recorded_warm(reference_warm_sign_search, fmap, w,
-                                      config, prior, radius)
+                                      norm, eps_est, prior, radius)
     if ref is not None:
         assert sent == sent_ref
         _assert_same_exam(got, ref)
         return
     # the warm attempt failed: its queries, then the cold exam's
-    sent_cold, cold = _recorded_exam(approx_recover_sign, fmap, w, config)
+    sent_cold, cold = _recorded_exam(approx_recover_sign, fmap, w, norm,
+                                     eps_est)
     assert sent == sent_ref + sent_cold
     assert got.queries_used == len(sent_ref) + cold.queries_used
     assert _bits(got.v_hat) == _bits(cold.v_hat)
@@ -483,13 +482,15 @@ def test_one_dimensional_exam_ignores_its_prior(map_kind, prior_kind, seed):
     prior = {"cold": None, "exact": v, "antipodal": -v,
              "orthogonal": np.zeros(1)}.get(prior_kind, v + 0.1)
     w = v if map_kind == "identity" else np.linalg.solve(fmap.matrix.T, v)
-    config = RecoveryConfig(known_norm=float(np.linalg.norm(v)))
+    norm, eps_est = float(np.linalg.norm(v)), 1e-6
     sent, got = _recorded_exam(
-        lambda o, dim, cfg: approx_recover_sign(o, dim, cfg, prior=prior,
-                                                radius=0.1),
-        fmap, w, config)
-    sent_cold, cold = _recorded_exam(approx_recover_sign, fmap, w, config)
-    sent_ref, ref = _recorded_exam(reference_recover_sign, fmap, w, config)
+        lambda o, dim, n, eps: approx_recover_sign(o, dim, n, eps,
+                                                   prior=prior, radius=0.1),
+        fmap, w, norm, eps_est)
+    sent_cold, cold = _recorded_exam(approx_recover_sign, fmap, w, norm,
+                                     eps_est)
+    sent_ref, ref = _recorded_exam(reference_recover_sign, fmap, w, norm,
+                                   eps_est)
     assert sent == sent_cold == sent_ref == [np.ones(1).tobytes()]
     _assert_same_exam(got, cold)
     _assert_same_exam(got, ref)

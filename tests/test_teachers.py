@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import teachsim.exam
 import teachsim.teachers
 from teachsim.exam import RemoteLearner
 from teachsim.experiments import (DatasetSpec, ExperimentConfig,
-                                  run_multi_teacher)
+                                  run_experiment, run_multi_teacher)
 from teachsim.feature_space import (conjugate_apply, random_map,
                                     spectral_stats)
 from teachsim.learners import LearnerState, loss_grad
@@ -672,8 +673,8 @@ def test_auto_exam_period_stays_auto_and_follows_the_map():
 
 class _ProtocolView:
     """A student handle that carries the teaching protocol and nothing
-    else: any other attribute, such as state, fmap or
-    observe_parameters, fails the test."""
+    else: any other attribute, such as state or observe_parameters,
+    fails the test."""
     _PROTOCOL = frozenset(("query", "teach", "dim", "loss", "feedback",
                            "unitary_map", "disclosed_norm"))
 
@@ -682,8 +683,13 @@ class _ProtocolView:
 
     def __getattr__(self, name):
         if name not in self._PROTOCOL:
-            raise AssertionError(f"black-box teacher read remote.{name}")
+            raise AssertionError(f"teacher read remote.{name}")
         return getattr(self._remote, name)
+
+
+class _WhiteBoxView(_ProtocolView):
+    """The protocol plus the one counted white-box read."""
+    _PROTOCOL = _ProtocolView._PROTOCOL | {"observe_parameters"}
 
 
 def test_black_box_teachers_use_only_the_protocol(monkeypatch):
@@ -693,12 +699,19 @@ def test_black_box_teachers_use_only_the_protocol(monkeypatch):
     # channel over a general map ("auto" is period 1 there) asks a cold
     # exam each time, and its small step keeps the predictions inside
     # the sigmoid's invertible range
-    warm = []
+    warm, lasts, results = [], [], []
     exam = teachsim.teachers.construct_virtual_learner
 
-    def recording_exam(remote, config, prior=None, radius=None):
-        warm.append(prior is not None)
-        return exam(remote, config, prior=prior, radius=radius)
+    def recording_exam(remote, config, prior=None, last=None):
+        # warm: the exam anchored its chart at the teacher's estimate
+        # (an exact exam records no chart)
+        result = exam(remote, config, prior=prior, last=last)
+        warm.append(prior is not None and len(result.alpha_history) > 0
+                    and np.array_equal(result.alpha_history[0],
+                                       prior / np.linalg.norm(prior)))
+        lasts.append(last)
+        results.append(result)
+        return result
 
     monkeypatch.setattr(teachsim.teachers, "construct_virtual_learner",
                         recording_exam)
@@ -724,9 +737,13 @@ def test_black_box_teachers_use_only_the_protocol(monkeypatch):
                                                 sigma_forget=0.01, seed=3),
                                    fmap)
             warm.clear()
+            lasts.clear()
+            results.clear()
             for _ in range(steps):
                 assert teacher.step(_ProtocolView(remote)) is not None
             assert warm == expected, feedback
+            # each exam is handed the one before it
+            assert lasts == [None] + results[:-1]
             assert remote.teaching_samples == steps
             assert remote.white_box_reads == 0
 
@@ -766,24 +783,95 @@ def test_the_teacher_relay_uses_only_the_protocol(monkeypatch, feedback,
     assert remote.teaching_samples == 12
 
 
+@pytest.mark.parametrize("feedback, loss, map_kind, eta", (
+    ("sign", "hinge", "general", 0.01),
+    ("identity", "square", "unitary", 0.002)))
+def test_the_omniscient_teacher_reads_only_its_counted_weights(
+        monkeypatch, feedback, loss, map_kind, eta):
+    # the white-box baseline sees the protocol plus observe_parameters,
+    # which hands it G^T w: never the learner state or the map, and the
+    # trace is the one the plain handle gives
+    cfg = ExperimentConfig(
+        dataset=DatasetSpec(task="classification", d=6, n=50, seed=3),
+        map_kind=map_kind, map_seed=2, loss=loss, feedback=feedback,
+        eta=eta, teacher="omniscient", mode_kind="rescalable_pool",
+        iterations=12, stop_tol=0.0, ridge=0.1, run_seed=5)
+    plain = run_experiment(cfg)
+    remotes = []
+    step = OmniscientTeacher.step
+
+    def viewed_step(teacher, remote):
+        remotes.append(remote)
+        return step(teacher, _WhiteBoxView(remote))
+
+    monkeypatch.setattr(OmniscientTeacher, "step", viewed_step)
+    assert run_experiment(cfg) == plain
+    assert len(remotes) == 12 and len(set(remotes)) == 1
+    assert remotes[0].white_box_reads == 12
+    assert remotes[0].query_samples == 0
+
+
+@pytest.mark.parametrize("map_kind", ("identity", "general"))
+def test_sign_reexams_keep_their_warm_start_radius(monkeypatch, map_kind):
+    # the gallop radius of every re-exam, bit for bit: the innovation
+    # ||v_hat - prior|| of the exam before it per chart coordinate,
+    # floored at that exam's certified error, over its disclosed norm
+    d, eta, loss, steps = 8, 0.1, "logistic", 32
+    calls = []
+    search = teachsim.exam.approx_recover_sign
+
+    def recording_search(oracle, dim, norm, eps_est, prior=None,
+                         radius=None):
+        result = search(oracle, dim, norm, eps_est, prior=prior,
+                        radius=radius)
+        calls.append((norm, prior, radius, result))
+        return result
+
+    monkeypatch.setattr(teachsim.exam, "approx_recover_sign",
+                        recording_search)
+    gen = np.random.default_rng(21)
+    mode = TeachingMode.rescalable_pool(gen.standard_normal((40, d)),
+                                        gen.choice([-1.0, 1.0], size=40))
+    teacher = ActiveTeacher(gen.standard_normal(d), mode, eta, loss,
+                            exam_period=1)
+    remote = RemoteLearner(LearnerState(w=gen.standard_normal(d), eta=eta,
+                                        loss=loss, feedback="sign",
+                                        sigma_forget=0.01, seed=7),
+                           random_map(d, map_kind, 3))
+    for _ in range(steps):
+        assert teacher.step(remote) is not None
+    assert len(calls) == steps == remote.norm_disclosures
+    assert calls[0][1:3] == (None, None)
+    for (norm, prior, _, result), (_, next_prior, radius, _) in zip(
+            calls, calls[1:]):
+        innovation = (0.0 if prior is None
+                      else float(np.linalg.norm(result.v_hat - prior)))
+        expected = max(innovation / math.sqrt(max(d - 1, 1)),
+                       result.est_error()) / norm
+        assert next_prior is not None
+        assert radius == expected
+        assert result.innovation == innovation
+
+
 def test_one_dimensional_sign_teacher_reexams_with_a_zero_radius(
         monkeypatch):
     # at d = 1 the last exam certifies the direction exactly, so an
-    # exam_period=1 teacher passes its prior with radius 0.0; the exam
-    # checks the radius only when a chart exists, and spends one query
+    # exam_period=1 teacher's re-exam passes its prior with radius 0.0;
+    # the exam checks the radius only when a chart exists, and spends
+    # one query
     eta, loss = 0.1, "logistic"
     mode = TeachingMode.rescalable_pool(np.array([[1.0], [-0.5]]),
                                         np.array([1.0, -1.0]))
     exams = []
-    exam = teachsim.teachers.construct_virtual_learner
+    search = teachsim.exam.approx_recover_sign
 
-    def recording_exam(remote, config, prior=None, radius=None):
-        result = exam(remote, config, prior=prior, radius=radius)
+    def recording_search(oracle, d, norm, eps_est, prior=None, radius=None):
+        result = search(oracle, d, norm, eps_est, prior=prior, radius=radius)
         exams.append((prior is not None, radius, result.queries_used))
         return result
 
-    monkeypatch.setattr(teachsim.teachers, "construct_virtual_learner",
-                        recording_exam)
+    monkeypatch.setattr(teachsim.exam, "approx_recover_sign",
+                        recording_search)
     teacher = ActiveTeacher(np.array([3.0]), mode, eta, loss, exam_period=1)
     remote = RemoteLearner(LearnerState(w=np.array([-0.7]), eta=eta,
                                         loss=loss, feedback="sign"),
