@@ -80,6 +80,9 @@ def _thread_budget(n_jobs):
         if budget < 1:
             _fail("config", _EXIT_CONFIG,
                   f"TEACHSIM_THREADS must be >= 1, got {budget}")
+    elif hasattr(os, "sched_getaffinity"):
+        # The CPUs this process may run on, not all of the machine's.
+        budget = len(os.sched_getaffinity(0))
     else:
         budget = os.cpu_count() or 1
     return min(budget, n_jobs)
@@ -121,6 +124,11 @@ def _run_one_seed(job):
     return master, sorted(results)
 
 
+def _run_shard(jobs):
+    """Run one worker's share of the sweep (must stay picklable)."""
+    return [_run_one_seed(job) for job in jobs]
+
+
 def _cmd_datagen(args, command):
     from .config import load_config
     from .experiments import _build_data, write_tabular
@@ -146,10 +154,18 @@ def _cmd_run(args, command):
         if workers == 1:
             done = [_run_one_seed(job) for job in jobs]
         else:
-            # Imported here: report and plot never start a pool.
+            # Seed i runs in process i mod W, and the parent is process 0:
+            # W processes in all.  The pool starts before the parent's
+            # first seed.  Imported here: report and plot never start a
+            # pool.
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                done = list(pool.map(_run_one_seed, jobs))
+            done = [None] * len(jobs)
+            with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+                shards = [pool.submit(_run_shard, jobs[i::workers])
+                          for i in range(1, workers)]
+                done[0::workers] = _run_shard(jobs[0::workers])
+                for i, shard in enumerate(shards, 1):
+                    done[i::workers] = shard.result()
         for master, labels in done:
             print(f"seed {master}: wrote {', '.join(labels)} in "
                   f"{os.path.join(args.out, f'seed_{master}')}")
@@ -232,8 +248,11 @@ def _build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="master seed override")
     p.add_argument("--seeds", help="inclusive master seed range A..B; "
-                   "writes per-seed subdirectories (TEACHSIM_THREADS caps "
-                   "the process fan-out)")
+                   "writes per-seed subdirectories.  Runs on min(budget, "
+                   "seeds) processes W, this one included, where the budget "
+                   "is TEACHSIM_THREADS or the usable CPUs; the range's "
+                   "i-th seed (from 0) runs in process i mod W, and the "
+                   "outputs do not depend on W")
     p.add_argument("--scenario", help="scenario override")
     p.add_argument("--sigma-forget", type=float, dest="sigma_forget",
                    help="forgetting noise scale override")

@@ -1,4 +1,7 @@
+import concurrent.futures
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -6,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
+from teachsim import cli
 from teachsim.cli import main
-from teachsim.experiments import ingest_tabular, read_trace
+from teachsim.experiments import TrainingError, ingest_tabular, read_trace
 from teachsim.traces import TraceRow, write_trace
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -97,23 +101,139 @@ def test_seed_sweep_serial(cfg_path, tmp_path, capsys, monkeypatch):
     assert a != b
 
 
-def test_seed_sweep_parallel_matches_serial(cfg_path, tmp_path, capsys,
-                                            monkeypatch):
-    out_s, out_p = str(tmp_path / "s"), str(tmp_path / "p")
-    monkeypatch.setenv("TEACHSIM_THREADS", "1")
-    assert main(["run", "--config", cfg_path, "--out", out_s,
-                 "--seeds", "1..2"]) == 0
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Worker counts of the pools the sweep starts, in order.
+
+    The stand-in pool forks its workers, so they see the test's
+    monkeypatches whatever the platform's default start method.
+    """
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers,
+                             mp_context=multiprocessing.get_context("fork"))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    return sizes
+
+
+def _sweep_outputs(out):
+    """{relative path: bytes} of a sweep, manifests without `command =`."""
+    files = {}
+    for root, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if name == "manifest.ini":
+                data = b"".join(line for line in data.splitlines(True)
+                                if not line.startswith(b"command ="))
+            files[os.path.relpath(path, out)] = data
+    return files
+
+
+@pytest.mark.parametrize("scenario, seeds, workers", [
+    pytest.param("standard", "1..2", 2, id="standard-1..2-w2"),
+    # Five seeds on three processes: shards of 2, 2 and 1 seeds.
+    pytest.param("forgetting", "0..4", 3, id="forgetting-0..4-w3"),
+])
+def test_seed_sweep_parallel_matches_serial(scenario, seeds, workers,
+                                            cfg_path, tmp_path, capsys,
+                                            monkeypatch, pool_sizes):
+    def sweep(threads):
+        out = str(tmp_path / f"w{threads}")
+        monkeypatch.setenv("TEACHSIM_THREADS", str(threads))
+        assert main(["run", "--config", cfg_path, "--out", out,
+                     "--scenario", scenario, "--seeds", seeds]) == 0
+        lines = capsys.readouterr().out.replace(out, "OUT").splitlines()
+        return lines, _sweep_outputs(out)
+
+    serial_lines, serial_files = sweep(1)
+    assert pool_sizes == []
+    parallel_lines, parallel_files = sweep(workers)
+    # The parent is worker 0: the pool holds the other W - 1.
+    assert pool_sizes == [workers - 1]
+    lo, hi = (int(s) for s in seeds.split(".."))
+    assert [line.split(":")[0] for line in parallel_lines] == [
+        f"seed {m}" for m in range(lo, hi + 1)]
+    assert parallel_lines == serial_lines
+    labels = (["trace"] if scenario == "standard" else
+              [f"trace_{k}" for k in ("active", "lazy", "omniscient",
+                                      "random")])
+    assert sorted(parallel_files) == sorted(
+        os.path.join(f"seed_{m}", name) for m in range(lo, hi + 1)
+        for name in ["manifest.ini"] + [f"{k}.csv" for k in labels])
+    assert parallel_files == serial_files
+
+
+@pytest.mark.parametrize("bad", [0, 1], ids=["parent-shard", "worker-shard"])
+def test_a_failing_seed_in_a_parallel_sweep_is_one_runtime_error(
+        bad, cfg_path, tmp_path, capsys, monkeypatch, pool_sizes):
+    # With two processes the parent runs masters 0 and 2, the worker 1
+    # and 3.
+    run_one_seed = cli._run_one_seed
+
+    def run_or_fail(job):
+        if job[2] == bad:
+            raise TrainingError(f"master {bad} fails on purpose")
+        return run_one_seed(job)
+
+    monkeypatch.setattr(cli, "_run_one_seed", run_or_fail)
     monkeypatch.setenv("TEACHSIM_THREADS", "2")
-    assert main(["run", "--config", cfg_path, "--out", out_p,
-                 "--seeds", "1..2"]) == 0
-    for seed in (1, 2):
-        with open(os.path.join(out_s, f"seed_{seed}", "trace.csv"),
-                  "rb") as fh:
-            a = fh.read()
-        with open(os.path.join(out_p, f"seed_{seed}", "trace.csv"),
-                  "rb") as fh:
-            b = fh.read()
-        assert a == b
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                 "--seeds", "0..3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error[runtime]: master {bad} fails on purpose\n"
+    assert captured.out == ""
+    assert pool_sizes == [1]
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["good", "failing"])
+def test_a_parallel_sweep_leaves_no_process_running(fails, cfg_path,
+                                                    tmp_path):
+    cfg = cfg_path
+    if fails:
+        # synthesis without a norm bound fails in every seed
+        cfg = str(tmp_path / "r.ini")
+        with open(cfg, "w") as fh:
+            fh.write(_SMALL + "\n[mode]\nkind = synthesis\n")
+    path = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))
+        if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "teachsim.cli", "run", "--config", cfg,
+         "--out", str(tmp_path / "o"), "--seeds", "0..1"],
+        env=dict(os.environ, PYTHONPATH=path, TEACHSIM_THREADS="2"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == (3 if fails else 0), err
+        if fails:
+            assert err.startswith("error[runtime]:")
+            assert err.count("\n") == 1
+        else:
+            assert out.count("seed ") == 2
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
+def test_the_default_budget_counts_only_usable_cpus(monkeypatch):
+    monkeypatch.delenv("TEACHSIM_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    assert cli._thread_budget(8) == 1
 
 
 def test_plot_and_report(cfg_path, tmp_path, capsys):
