@@ -115,7 +115,7 @@ def _write_outputs(out_dir, config, scenario, results, command):
 
 
 def _run_one_seed(job):
-    """Worker for the multi-seed sweep (must stay picklable)."""
+    """One seed of the multi-seed sweep: run it and write its outputs."""
     from .config import apply_master_seed
     config, scenario, master, out_dir, command = job
     cfg, scn = apply_master_seed(config, scenario, master)
@@ -124,9 +124,9 @@ def _run_one_seed(job):
     return master, sorted(results)
 
 
-def _run_shard(jobs):
-    """Run one worker's share of the sweep (must stay picklable)."""
-    return [_run_one_seed(job) for job in jobs]
+def _run_pooled(job):
+    """Pool entry point (picklable): finds _run_one_seed by name."""
+    return _run_one_seed(job)
 
 
 def _cmd_datagen(args, command):
@@ -154,18 +154,24 @@ def _cmd_run(args, command):
         if workers == 1:
             done = [_run_one_seed(job) for job in jobs]
         else:
-            # Seed i runs in process i mod W, and the parent is process 0:
-            # W processes in all.  The pool starts before the parent's
-            # first seed.  Imported here: report and plot never start a
-            # pool.
-            from concurrent.futures import ProcessPoolExecutor
+            # The parent runs seeds 0, W, 2W, ... and W - 1 workers the
+            # rest; the first error cancels the seeds not yet started.
+            # Imported here: report and plot never start a pool.
+            from concurrent.futures import ProcessPoolExecutor, as_completed
             done = [None] * len(jobs)
-            with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-                shards = [pool.submit(_run_shard, jobs[i::workers])
-                          for i in range(1, workers)]
-                done[0::workers] = _run_shard(jobs[0::workers])
-                for i, shard in enumerate(shards, 1):
-                    done[i::workers] = shard.result()
+            pool = ProcessPoolExecutor(max_workers=workers - 1)
+            try:
+                futures = {pool.submit(_run_pooled, job): i
+                           for i, job in enumerate(jobs) if i % workers}
+                for i in range(0, len(jobs), workers):
+                    for future in futures:
+                        if future.done():
+                            future.result()  # re-raises a worker's error
+                    done[i] = _run_one_seed(jobs[i])
+                for future in as_completed(futures):
+                    done[futures[future]] = future.result()
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
         for master, labels in done:
             print(f"seed {master}: wrote {', '.join(labels)} in "
                   f"{os.path.join(args.out, f'seed_{master}')}")
@@ -250,9 +256,9 @@ def _build_parser():
     p.add_argument("--seeds", help="inclusive master seed range A..B; "
                    "writes per-seed subdirectories.  Runs on min(budget, "
                    "seeds) processes W, this one included, where the budget "
-                   "is TEACHSIM_THREADS or the usable CPUs; the range's "
-                   "i-th seed (from 0) runs in process i mod W, and the "
-                   "outputs do not depend on W")
+                   "is TEACHSIM_THREADS or the usable CPUs; this process "
+                   "runs seeds 0, W, 2W, ... of the range, the other W - 1 "
+                   "the rest in order.  The outputs do not depend on W")
     p.add_argument("--scenario", help="scenario override")
     p.add_argument("--sigma-forget", type=float, dest="sigma_forget",
                    help="forgetting noise scale override")

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .experiments import TEACHER_KINDS, ExperimentConfig
+from .experiments import TEACHER_KINDS, ExperimentConfig, check_relay
 from .feature_space import random_map, spectral_stats
 from .learners import FEEDBACKS, LOSSES
 from .rng import (KEY_DATA, KEY_FORGET, KEY_INIT, KEY_MAP, KEY_QUERIES,
@@ -35,7 +35,7 @@ _BOOKKEEPING = ("manifest", "artifacts")
 # Keys of older manifests that no field reads; loaded and ignored.
 _RETIRED = {("recovery", "delta"), ("recovery", "lam"),
             ("recovery", "max_rounds"), ("recovery", "contraction_rho"),
-            ("teacher", "adaptive_eps")}
+            ("teacher", "adaptive_eps"), ("teacher", "lam")}
 
 SCENARIO_KINDS = ("standard", "forgetting", "multi-teacher")
 
@@ -187,7 +187,6 @@ _SCHEMA = {
                             _words({"auto": "auto", "none": None},
                                    _at_least(1, _int))),
         "stop_tol": _Key("config", "stop_tol", _float),
-        "lam": _Key("config", "lam", _at_least(0, _float)),
     },
     "mode": {
         "kind": _Key("config", "mode_kind",
@@ -306,7 +305,8 @@ def load_config(path, overrides=None):
     overrides maps (section, key) to raw string values and is applied
     before resolution, exactly as if the file contained those lines.
     Manifest bookkeeping sections are ignored, so a manifest is itself a
-    valid config reproducing its run.
+    valid config reproducing its run.  A relay is checked here, not at
+    run time.
     """
     values = {}
     for (section, key), raw in _read_raw(path, overrides).items():
@@ -322,6 +322,12 @@ def load_config(path, overrides=None):
     master = values.get(("run", "seed"), ExperimentConfig.run_seed)
     values = {("learner", "eta"): "auto", **_derived_seeds(master), **values}
     config, scenario = _assemble(ExperimentConfig(), ScenarioSpec(), values)
+    if scenario.kind == "multi-teacher":
+        try:
+            check_relay(scenario.n_teachers, scenario.switch_points,
+                        config.iterations)
+        except ValueError as exc:
+            raise ConfigError(f"scenario.{exc}") from None
     if config.eta == "auto":
         config = replace(config, eta=_auto_eta(config))
     return config, scenario

@@ -84,7 +84,6 @@ class ExperimentConfig:
     norm_bound: float | None = None
     gamma_grid: tuple | None = None
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
-    lam: float = 0.0
     ridge: float = 5e-5
     iterations: int = 1000
     metrics_period: int = 1
@@ -406,19 +405,16 @@ def _make_teacher(kind, config, v_star, mode, spectral):
         return RandomTeacher(mode, seed)
     if kind == "omniscient":
         return OmniscientTeacher(v_star, mode, config.eta, config.loss,
-                                 stop_tol=config.stop_tol,
-                                 spectral=spectral, lam=config.lam)
+                                 stop_tol=config.stop_tol, spectral=spectral)
     if kind == "lazy":
         return LazyTeacher(v_star, mode, config.eta, config.loss,
                            recovery=config.recovery,
-                           stop_tol=config.stop_tol,
-                           spectral=spectral, lam=config.lam)
+                           stop_tol=config.stop_tol, spectral=spectral)
     if kind == "active":
         return ActiveTeacher(v_star, mode, config.eta, config.loss,
                              recovery=config.recovery,
                              exam_period=config.exam_period,
-                             stop_tol=config.stop_tol,
-                             spectral=spectral, lam=config.lam)
+                             stop_tol=config.stop_tol, spectral=spectral)
     raise ValueError(f"unknown teacher kind {kind!r}")
 
 
@@ -537,6 +533,25 @@ def run_forgetting_scenario(config, sigma_forget):
     return traces
 
 
+def check_relay(n_teachers, switch_points, iterations):
+    """A relay's switch points as ints, or a ValueError whose message
+    starts with the name of the argument at fault."""
+    if n_teachers < 1:
+        raise ValueError(f"n_teachers: must be >= 1, got {n_teachers}")
+    points = [int(p) for p in switch_points]
+    if len(points) != n_teachers - 1:
+        raise ValueError(
+            f"switch_points: expected {n_teachers - 1} switch points for "
+            f"{n_teachers} teachers, got {len(points)}")
+    if any(p < 0 or p > iterations for p in points):
+        raise ValueError(f"switch_points: must lie within the iteration "
+                         f"budget 0..{iterations}, got {points}")
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise ValueError(
+            f"switch_points: must be strictly increasing, got {points}")
+    return points
+
+
 def run_multi_teacher(config, n_teachers, switch_points):
     """One student taught by a relay of active teachers.
 
@@ -544,18 +559,7 @@ def run_multi_teacher(config, n_teachers, switch_points):
     iteration budget) give the iteration counts at which the next teacher
     takes over; every incoming teacher pays for its own background exam.
     """
-    if n_teachers < 1:
-        raise ValueError(f"n_teachers must be >= 1, got {n_teachers}")
-    points = [int(p) for p in switch_points]
-    if len(points) != n_teachers - 1:
-        raise ValueError(
-            f"expected {n_teachers - 1} switch points for {n_teachers} "
-            f"teachers, got {len(points)}")
-    if any(p < 0 or p > config.iterations for p in points):
-        raise ValueError("switch points must lie within the iteration "
-                         "budget")
-    if any(b <= a for a, b in zip(points, points[1:])):
-        raise ValueError("switch points must be strictly increasing")
+    points = check_relay(n_teachers, switch_points, config.iterations)
     cfg = replace(config, teacher="active")
     v_star, fmap, mode, evaluator, spectral = _prepare(cfg)
     learner = _initial_learner(cfg, fmap)

@@ -88,7 +88,7 @@ def conjugate_apply(fmap, w):
 
 
 class SpectralStats:
-    """Extreme eigenvalues of G^T G and their ratio."""
+    """Extreme eigenvalues of G^T G."""
 
     def __init__(self, sigma_min, sigma_max):
         if not (0 < sigma_min <= sigma_max):
@@ -97,11 +97,10 @@ class SpectralStats:
                 f"({sigma_min:.3e}, {sigma_max:.3e})")
         self.sigma_min = float(sigma_min)
         self.sigma_max = float(sigma_max)
-        self.kappa = float(sigma_max / sigma_min)
 
     def __repr__(self):
         return (f"SpectralStats(sigma_min={self.sigma_min:.6g}, "
-                f"sigma_max={self.sigma_max:.6g}, kappa={self.kappa:.6g})")
+                f"sigma_max={self.sigma_max:.6g})")
 
 
 def spectral_stats(fmap):

@@ -125,28 +125,20 @@ class TeachingMode:
 
 
 @dataclass(frozen=True)
-class ETCheckReport:
-    """Step-size window diagnostic.
-
-    Exponential teachability needs 0 < gamma*beta < 2 (1 - lam) sigma_min
-    / (eta sigma_max^2); ``satisfied`` records whether the selected
-    example's gamma*beta landed inside that window.
-    """
-    gamma_beta: float
-    upper_bound: float
-    lam: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
 class SelectedExample:
-    """A teaching pair as fed to the student (x already rescaled)."""
+    """A teaching pair as fed to the student (x already rescaled).
+
+    As a greedy teacher's step record it also holds beta, the loss
+    derivative at the teacher's estimate, and et_held: whether gamma *
+    beta lay in the teacher's ET window (None without a spectrum).
+    """
     x: np.ndarray
     y: float
     gamma: float
     objective: float
     index: int | None = None
-    et: ETCheckReport | None = None
+    beta: float | None = None
+    et_held: bool | None = None
 
     def __post_init__(self):
         x = np.array(self.x, dtype=np.float64)
@@ -161,19 +153,6 @@ def omniscient_objective(v, v_star, eta, loss, x, y):
     beta = loss_grad(loss, float(v @ x), y)
     return (eta * eta * beta * beta * float(x @ x)
             - 2.0 * eta * beta * float((v - v_star) @ x))
-
-
-def et_condition_check(gamma, beta, eta, spectral, lam=0.0):
-    """Check gamma*beta against the exponential-teachability window."""
-    limit = min(spectral.kappa / math.sqrt(2.0), 1.0)
-    if not (0.0 <= lam < limit):
-        raise ValueError(
-            f"lam must lie in [0, {limit:.6g}) for this spectrum, got {lam}")
-    gb = float(gamma) * float(beta)
-    upper = 2.0 * (1.0 - lam) * spectral.sigma_min / (
-        eta * spectral.sigma_max ** 2)
-    return ETCheckReport(gamma_beta=gb, upper_bound=upper, lam=lam,
-                         satisfied=bool(0.0 < gb < upper))
 
 
 def select_pool(v, v_star, mode, eta, loss):
@@ -548,40 +527,43 @@ class _GreedyTeacher:
     """State and teaching step shared by the greedy teachers.
 
     The step works on the teacher's own estimate v of G^T w, so stopping
-    and the step-size (ET) window check never use more than the teacher
+    and the step-size (ET) window 0 < gamma beta < 2 sigma_min / (eta
+    sigma_max^2), fixed at construction, never use more than the teacher
     knows.  Everything the step decides is a function of v alone, so the
-    last (selection, beta) is kept under the bytes of its v, and a step
-    at an estimate with the same bytes teaches it again without another
+    last step's record is kept under the bytes of its v, and a step at an
+    estimate with the same bytes teaches it again without another
     selection.
     """
 
-    def __init__(self, v_star, mode, eta, loss, stop_tol=0.0, spectral=None,
-                 lam=0.0):
+    def __init__(self, v_star, mode, eta, loss, stop_tol=0.0, spectral=None):
         self.v_star = np.asarray(v_star, dtype=np.float64)
         self.mode = mode
         self.eta = eta
         self.loss = loss
         self.stop_tol = stop_tol
-        self.spectral = spectral
-        self.lam = lam
+        self.et_upper = None
+        if spectral is not None:
+            scale = eta * spectral.sigma_max ** 2
+            self.et_upper = (2.0 * spectral.sigma_min / scale if scale
+                             else math.inf)
         self._last_step = (None, None)
 
     def _greedy_step(self, v, remote):
-        """Select against v and teach; returns (selection, beta), or None
-        once v is within stop_tol of the target or on it.
+        """Select against v and teach; returns the step's SelectedExample,
+        with beta and et_held set, or None once v is within stop_tol of
+        the target or on it.
 
         beta is the loss derivative the student applies to the selection
-        if v is its true image; the ET report is attached when the map's
-        spectrum is known.  When v has the bytes of the last step's
-        estimate, that step's (selection, beta) is taught again: the stop
-        test, the selection and the ET check would repeat it bit for bit.
-        A step that returns None is not kept.
+        if v is its true image.  When v has the bytes of the last step's
+        estimate, that step's record is taught again: the stop test, the
+        selection and the ET check would repeat it bit for bit.  A step
+        that returns None is not kept.
         """
         key = v.tobytes()
-        last_key, taught = self._last_step
+        last_key, sel = self._last_step
         if key == last_key:
-            remote.teach(taught[0].x, taught[0].y)
-            return taught
+            remote.teach(sel.x, sel.y)
+            return sel
         if float(np.linalg.norm(v - self.v_star)) <= self.stop_tol:
             return None
         try:
@@ -590,21 +572,19 @@ class _GreedyTeacher:
         except TeachingComplete:
             return None
         beta = loss_grad(self.loss, float(v @ sel.x), sel.y)
-        if self.spectral is not None:
-            sel = replace(sel, et=et_condition_check(
-                sel.gamma, beta, self.eta, self.spectral, self.lam))
+        held = (None if self.et_upper is None
+                else 0.0 < float(sel.gamma) * float(beta) < self.et_upper)
+        sel = replace(sel, beta=beta, et_held=held)
         remote.teach(sel.x, sel.y)
-        self._last_step = key, (sel, beta)
-        return sel, beta
+        self._last_step = key, sel
+        return sel
 
 
 class OmniscientTeacher(_GreedyTeacher):
     """White-box teacher: reads G^T w at every step (a counted read)."""
 
     def step(self, remote):
-        v = remote.observe_parameters()
-        taught = self._greedy_step(v, remote)
-        return None if taught is None else taught[0]
+        return self._greedy_step(remote.observe_parameters(), remote)
 
 
 class ActiveTeacher(_GreedyTeacher):
@@ -628,8 +608,12 @@ class ActiveTeacher(_GreedyTeacher):
     """
 
     def __init__(self, v_star, mode, eta, loss, recovery=None,
-                 exam_period="auto", stop_tol=0.0, spectral=None, lam=0.0):
-        super().__init__(v_star, mode, eta, loss, stop_tol, spectral, lam)
+                 exam_period="auto", stop_tol=0.0, spectral=None):
+        if exam_period not in (None, "auto") and not (
+                type(exam_period) is int and exam_period >= 1):
+            raise ValueError(f"exam_period must be None, 'auto' or an "
+                             f"integer >= 1, got {exam_period!r}")
+        super().__init__(v_star, mode, eta, loss, stop_tol, spectral)
         self.recovery = recovery if recovery is not None else RecoveryConfig()
         self.exam_period = exam_period
         self.virtual = None
@@ -668,11 +652,10 @@ class ActiveTeacher(_GreedyTeacher):
         if self._exam_due(remote):
             self._examine(remote)
         v = self.virtual
-        taught = self._greedy_step(v, remote)
-        if taught is None:
+        sel = self._greedy_step(v, remote)
+        if sel is None:
             return None
-        sel, beta = taught
-        self.virtual = v - self.eta * beta * sel.x
+        self.virtual = v - self.eta * sel.beta * sel.x
         self.virtual.setflags(write=False)
         self._t += 1
         return sel
@@ -689,7 +672,7 @@ class LazyTeacher(ActiveTeacher):
     """
 
     def __init__(self, v_star, mode, eta, loss, recovery=None,
-                 stop_tol=0.0, spectral=None, lam=0.0):
+                 stop_tol=0.0, spectral=None):
         super().__init__(v_star, mode, eta, loss, recovery=recovery,
                          exam_period=None, stop_tol=stop_tol,
-                         spectral=spectral, lam=lam)
+                         spectral=spectral)

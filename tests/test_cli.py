@@ -138,7 +138,7 @@ def _sweep_outputs(out):
 
 @pytest.mark.parametrize("scenario, seeds, workers", [
     pytest.param("standard", "1..2", 2, id="standard-1..2-w2"),
-    # Five seeds on three processes: shards of 2, 2 and 1 seeds.
+    # Five seeds on three processes: the parent runs masters 0 and 3.
     pytest.param("forgetting", "0..4", 3, id="forgetting-0..4-w3"),
 ])
 def test_seed_sweep_parallel_matches_serial(scenario, seeds, workers,
@@ -190,6 +190,50 @@ def test_a_failing_seed_in_a_parallel_sweep_is_one_runtime_error(
     assert captured.err == f"error[runtime]: master {bad} fails on purpose\n"
     assert captured.out == ""
     assert pool_sizes == [1]
+
+
+def test_a_failing_worker_seed_stops_the_parents_share(
+        cfg_path, tmp_path, capsys, monkeypatch, pool_sizes):
+    # Masters 0, 2 and 4 are the parent's, 1, 3 and 5 the worker's.  The
+    # parent's master 0 waits until master 1 has failed, so the sweep
+    # must stop before the parent starts master 2.
+    futures = {}
+    started = []
+
+    class FuturesPool(concurrent.futures.ProcessPoolExecutor):
+        """The recording pool, keeping each seed's future by master."""
+
+        def submit(self, fn, job):
+            futures[job[2]] = super().submit(fn, job)
+            return futures[job[2]]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        FuturesPool)
+    parent = os.getpid()
+
+    def stand_in(job):
+        master = job[2]
+        if os.getpid() == parent:
+            started.append(master)
+            if master == 0:
+                concurrent.futures.wait([futures[1]], timeout=60)
+                assert futures[1].exception() is not None
+            return master, ["trace"]
+        if master == 1:
+            raise TrainingError("master 1 fails on purpose")
+        return master, ["trace"]
+
+    monkeypatch.setattr(cli, "_run_one_seed", stand_in)
+    monkeypatch.setenv("TEACHSIM_THREADS", "2")
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                 "--seeds", "0..5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error[runtime]: master 1 fails on purpose\n"
+    assert captured.out == ""
+    assert started == [0]
+    assert pool_sizes == [1]
+    assert sorted(futures) == [1, 3, 5]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["good", "failing"])
@@ -272,6 +316,30 @@ def test_exit_code_config_errors(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"error[config]: {key}: ")
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("[scenario]\nkind = multi-teacher\n",
+                 "scenario.switch_points: expected 1 switch points for 2 "
+                 "teachers, got 0", id="defaults"),
+    pytest.param("[run]\niterations = 5\n\n[scenario]\n"
+                 "kind = multi-teacher\nswitch_points = 9\n",
+                 "scenario.switch_points: must lie within the iteration "
+                 "budget 0..5, got [9]", id="past-the-budget"),
+    pytest.param("[scenario]\nkind = multi-teacher\nn_teachers = 3\n"
+                 "switch_points = 4,4\n",
+                 "scenario.switch_points: must be strictly increasing, got "
+                 "[4, 4]", id="not-increasing"),
+])
+def test_an_inconsistent_relay_is_a_config_error(text, message, tmp_path,
+                                                  capsys):
+    # these once loaded and failed at run time, exit 3
+    cfg = tmp_path / "relay.ini"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error[config]: {message}\n"
+    assert not out.exists()
 
 
 def test_exit_code_bad_seed_range(cfg_path, tmp_path, capsys):

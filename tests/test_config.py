@@ -108,8 +108,6 @@ def test_domain_validation_surfaces_as_config_error(tmp_path):
                        "learner.sigma_forget: must be >= 0"),
                       ("[scenario]\nn_teachers = 0\n",
                        "scenario.n_teachers: must be >= 1"),
-                      ("[teacher]\nlam = -0.5\n",
-                       "teacher.lam: must be >= 0"),
                       ("[scenario]\nkind = multi-teacher\n"
                        "n_teachers = 2\nswitch_points = -1\n",
                        "scenario.switch_points: must be >= 0"),
@@ -234,18 +232,18 @@ def test_manifest_with_retired_keys_reruns_identically(tmp_path):
                  "--out", str(first)]) == 0
     manifest = (first / "manifest.ini").read_text()
     for retired in ("delta", "adaptive_eps", "max_rounds",
-                    "contraction_rho"):
+                    "contraction_rho", "\nlam = "):
         assert retired not in manifest
     # Older manifests also carry recovery.delta, recovery.lam,
-    # recovery.max_rounds, recovery.contraction_rho and
-    # teacher.adaptive_eps.
+    # recovery.max_rounds, recovery.contraction_rho, teacher.adaptive_eps
+    # and teacher.lam.
     old_text = manifest.replace(
         "\nquery_seed = ", "\ndelta = 0.05\nlam = 0.1\nmax_rounds = 60\n"
         "contraction_rho = 0.8\nquery_seed = ")
     assert "contraction_rho = 0.8" in old_text
-    old_text = old_text.replace("\nstop_tol = ",
-                                "\nadaptive_eps = true\nstop_tol = ")
-    assert "adaptive_eps = true" in old_text
+    old_text = old_text.replace(
+        "\nstop_tol = ", "\nadaptive_eps = true\nlam = 0.0\nstop_tol = ")
+    assert "adaptive_eps = true\nlam = 0.0" in old_text
     old = _write(tmp_path, old_text, name="old.ini")
     assert load_config(old) == load_config(str(first / "manifest.ini"))
     assert main(["run", "--config", old, "--out", str(rerun)]) == 0
@@ -253,7 +251,7 @@ def test_manifest_with_retired_keys_reruns_identically(tmp_path):
             == (first / "trace.csv").read_bytes())
     rerun_manifest = (rerun / "manifest.ini").read_text()
     for retired in ("delta", "adaptive_eps", "max_rounds",
-                    "contraction_rho"):
+                    "contraction_rho", "\nlam = "):
         assert retired not in rerun_manifest
 
 
@@ -359,16 +357,23 @@ def _configs(draw):
         norm_bound=draw(st.none() | _positive),
         gamma_grid=draw(st.none() | st.lists(_floats, min_size=1,
                                              max_size=4).map(tuple)),
-        recovery=recovery, lam=draw(_non_negative), ridge=draw(_positive),
+        recovery=recovery, ridge=draw(_positive),
         iterations=draw(st.integers(0, 10 ** 6)),
         metrics_period=draw(_counts),
         test_fraction=draw(st.floats(0.0, 1.0, exclude_max=True)),
         run_seed=draw(_seeds))
-    scenario = ScenarioSpec(
-        kind=draw(st.sampled_from(("standard", "forgetting",
-                                   "multi-teacher"))),
-        sigma_forget=draw(_non_negative), n_teachers=draw(st.integers(1, 50)),
-        switch_points=draw(st.lists(st.integers(0, 10 ** 6), max_size=4)))
+    kind = draw(st.sampled_from(("standard", "forgetting", "multi-teacher")))
+    if kind == "multi-teacher":
+        # load_config refuses any other relay: one switch point per
+        # handoff, strictly increasing, within the iteration budget
+        points = sorted(draw(st.sets(st.integers(0, config.iterations),
+                                     max_size=4)))
+        n_teachers = len(points) + 1
+    else:
+        points = draw(st.lists(st.integers(0, 10 ** 6), max_size=4))
+        n_teachers = draw(st.integers(1, 50))
+    scenario = ScenarioSpec(kind=kind, sigma_forget=draw(_non_negative),
+                            n_teachers=n_teachers, switch_points=points)
     return config, scenario
 
 

@@ -17,8 +17,7 @@ from teachsim.learners import LearnerState, loss_grad
 from teachsim.teachers import (ActiveTeacher, DegenerateDirectionError,
                                LazyTeacher, OmniscientTeacher, RandomTeacher,
                                TeachingComplete, TeachingMode,
-                               default_gamma_grid, et_condition_check,
-                               omniscient_objective,
+                               default_gamma_grid, omniscient_objective,
                                random_select, select_example, select_pool,
                                select_synthesis)
 
@@ -412,30 +411,54 @@ def test_every_ball_selection_reaches_select_synthesis(monkeypatch):
         assert calls == {"synthesis": i, "pool": 0}
 
 
+def _one_candidate_step(gamma, eta, fmap, spectral,
+                        teacher=OmniscientTeacher):
+    """(teacher, its first step) on a one-candidate hinge pool whose only
+    grid value is gamma.  The candidate, labelled -1, is too short to
+    reach the margin, so beta = 1 and gamma * beta = gamma exactly."""
+    d = fmap.d
+    gen = np.random.default_rng(9)
+    x = np.zeros((1, d))
+    x[0, 0] = 1e-9
+    mode = TeachingMode.rescalable_pool(x, np.array([-1.0]),
+                                        gamma_grid=[gamma])
+    teacher = teacher(gen.standard_normal(d), mode, eta, "hinge",
+                      spectral=spectral)
+    rem = RemoteLearner(LearnerState(w=gen.standard_normal(d), eta=eta,
+                                     loss="hinge", feedback="identity"), fmap)
+    return teacher, teacher.step(rem)
+
+
 def test_et_condition_window():
-    stats = spectral_stats(random_map(5, "general", 0))
+    fmap = random_map(5, "general", 0)
+    stats = spectral_stats(fmap)
     eta = 0.01
     upper = 2.0 * stats.sigma_min / (eta * stats.sigma_max ** 2)
-    rep = et_condition_check(gamma=0.5 * upper, beta=1.0, eta=eta,
-                             spectral=stats)
-    assert rep.satisfied
-    np.testing.assert_allclose(rep.upper_bound, upper, rtol=1e-12)
-    assert not et_condition_check(gamma=1.1 * upper, beta=1.0, eta=eta,
-                                  spectral=stats).satisfied
-    # wrong sign of gamma * beta falls outside the window
-    assert not et_condition_check(gamma=-0.1, beta=1.0, eta=eta,
-                                  spectral=stats).satisfied
-    # slack factor shrinks the admissible window
-    rep_lam = et_condition_check(gamma=0.9 * upper, beta=1.0, eta=eta,
-                                 spectral=stats, lam=0.5)
-    assert not rep_lam.satisfied
-    np.testing.assert_allclose(rep_lam.upper_bound, 0.5 * upper, rtol=1e-12)
+    for gamma, held in ((0.5 * upper, True), (1.1 * upper, False),
+                        # wrong sign of gamma * beta falls outside
+                        (-0.1, False)):
+        teacher, sel = _one_candidate_step(gamma, eta, fmap, stats)
+        assert teacher.et_upper == upper
+        assert (sel.gamma, sel.beta, sel.et_held) == (gamma, 1.0, held)
 
 
-def test_et_condition_lam_range_checked():
-    stats = spectral_stats(random_map(4, "general", 1))
-    with pytest.raises(ValueError, match="lam"):
-        et_condition_check(0.1, 1.0, 0.01, stats, lam=1.5)
+@pytest.mark.parametrize("kind", [OmniscientTeacher, ActiveTeacher,
+                                  LazyTeacher])
+def test_the_et_window_is_taken_once_per_teacher(kind):
+    fmap = random_map(4, "general", 1)
+    stats = spectral_stats(fmap)
+    teacher, sel = _one_candidate_step(0.5, 0.01, fmap, stats, kind)
+    assert teacher.et_upper == 2.0 * stats.sigma_min / (
+        0.01 * stats.sigma_max ** 2)
+    assert (sel.beta, sel.et_held) == (1.0, 0.5 < teacher.et_upper)
+    # without a spectrum there is no window and no verdict
+    teacher, sel = _one_candidate_step(0.5, 0.01, fmap, None, kind)
+    assert teacher.et_upper is None
+    assert (sel.beta, sel.et_held) == (1.0, None)
+    # eta = 0 leaves the window unbounded above
+    teacher, sel = _one_candidate_step(0.5, 0.0, fmap, stats, kind)
+    assert teacher.et_upper == math.inf
+    assert (sel.beta, sel.et_held) == (1.0, True)
 
 
 def test_default_gamma_grid_shape():
@@ -669,6 +692,25 @@ def test_auto_exam_period_stays_auto_and_follows_the_map():
             assert teacher.step(rem) is not None
             assert teacher.exam_period == "auto"
             assert rem.query_samples == d + (n - 1) * queries_per_step
+
+
+@pytest.mark.parametrize("period", [0, -1, 1.0, 2.5, True, np.int64(2), "1",
+                                    "never"])
+def test_an_exam_period_is_none_auto_or_a_positive_integer(period):
+    mode = TeachingMode.synthesis(1.0)
+    with pytest.raises(ValueError, match="exam_period"):
+        ActiveTeacher(np.zeros(3), mode, 0.1, "square", exam_period=period)
+    for good in (None, "auto", 1, 3):
+        ActiveTeacher(np.zeros(3), mode, 0.1, "square", exam_period=good)
+
+
+def test_a_run_with_exam_period_zero_stops_before_teaching():
+    # this once divided by the period on the second step
+    config = ExperimentConfig(
+        dataset=DatasetSpec(task="classification", d=4, n=20, seed=1),
+        teacher="active", map_kind="general", exam_period=0, iterations=3)
+    with pytest.raises(ValueError, match="exam_period must be None"):
+        run_experiment(config)
 
 
 class _ProtocolView:
@@ -915,6 +957,7 @@ def test_a_repeated_estimate_reteaches_a_selection_equal_to_a_fresh_one(
         return pool(*args)
 
     monkeypatch.setattr(teachsim.teachers, "select_pool", counted)
+    upper = 2.0 * stats.sigma_min / (eta * stats.sigma_max ** 2)
     estimates = set()
     for _ in range(steps):
         v = (teacher.virtual if kind == "lazy"
@@ -923,19 +966,21 @@ def test_a_repeated_estimate_reteaches_a_selection_equal_to_a_fresh_one(
         sel = teacher.step(remote)
         fresh = pool(v, v_star, mode, eta, loss)
         beta = loss_grad(loss, float(v @ fresh.x), fresh.y)
-        et = et_condition_check(fresh.gamma, beta, eta, stats)
+        held = 0.0 < fresh.gamma * beta < upper
         assert sel.x.tobytes() == fresh.x.tobytes()
-        assert (sel.y, sel.gamma, sel.objective, sel.index, sel.et) == (
-            fresh.y, fresh.gamma, fresh.objective, fresh.index, et)
+        assert (sel.y, sel.gamma, sel.objective, sel.index, sel.beta,
+                sel.et_held) == (fresh.y, fresh.gamma, fresh.objective,
+                                 fresh.index, beta, held)
     assert remote.teaching_samples == steps
     assert calls[0] == len(estimates) < steps
 
 
-def test_selection_et_report_is_taken_at_the_teachers_estimate():
+def test_the_step_record_is_taken_at_the_teachers_estimate():
     gen = np.random.default_rng(14)
     d, eta, loss = 4, 0.05, "logistic"
     fmap = random_map(d, "general", 6)
     stats = spectral_stats(fmap)
+    upper = 2.0 * stats.sigma_min / (eta * stats.sigma_max ** 2)
     mode = TeachingMode.rescalable_pool(
         gen.standard_normal((20, d)), gen.choice([-1.0, 1.0], size=20))
     v_star = gen.standard_normal(d)
@@ -955,15 +1000,17 @@ def test_selection_et_report_is_taken_at_the_teachers_estimate():
                  else conjugate_apply(fmap, rem.state.w))
             sel = teacher.step(rem)
             beta = loss_grad(loss, float(v @ sel.x), sel.y)
-            assert sel.et == et_condition_check(sel.gamma, beta, eta, stats)
-            assert sel.et.gamma_beta == sel.gamma * beta
+            assert sel.beta == beta
+            assert sel.et_held == (0.0 < sel.gamma * beta < upper)
             if teacher is active:
                 np.testing.assert_array_equal(active.virtual,
                                               v - eta * beta * sel.x)
     true_v = conjugate_apply(fmap, rem.state.w)
     assert float(np.linalg.norm(active.virtual - true_v)) > 1e-6
     plain = OmniscientTeacher(v_star, mode, eta, loss)
-    assert plain.step(rem).et is None
+    sel = plain.step(rem)
+    assert sel.et_held is None
+    assert sel.beta == loss_grad(loss, float(true_v @ sel.x), sel.y)
 
 
 def test_select_example_dispatch():
