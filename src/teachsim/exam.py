@@ -141,8 +141,11 @@ class RemoteLearner:
 class RecoveryConfig:
     """The [recovery] keys of a run config.
 
-    eps_est: target bound on ||v_hat - G^T w|| for the sign exam, which
-      bisects until it certifies it.
+    eps_est: the floor of a sign exam's target bound on ||v_hat - G^T w||,
+      which the exam bisects until it certifies.  An exam with no
+      estimate certifies eps_est itself; a re-exam certifies the larger
+      of eps_est and the target its teacher asks for (see
+      construct_virtual_learner).
     query_seed, standard_queries: the exact exams' query directions, as
       make_basis_queries takes its seed and standard arguments.
     """
@@ -166,9 +169,9 @@ class ExamResult:
     sign branch reports a certified bound on sin(angle) between the
     estimated and true directions, the disclosed norm it rescaled by,
     the direction estimates it recorded along the way (see
-    approx_recover_sign) for diagnostics, and its innovation
-    ||v_hat - prior||, 0.0 when it was given no prior.  Exact exams take
-    no prior.
+    approx_recover_sign) for diagnostics, its innovation
+    ||v_hat - prior||, 0.0 when it was given no prior, and the target it
+    was asked to certify.  Exact exams take no prior and no target.
     """
     v_hat: np.ndarray
     queries_used: int
@@ -178,6 +181,7 @@ class ExamResult:
     known_norm: float | None = None
     alpha_history: tuple = field(default=())
     innovation: float = 0.0
+    target: float | None = None
 
     def __post_init__(self):
         v = np.array(self.v_hat, dtype=np.float64)
@@ -389,7 +393,7 @@ class _Chart:
         estimate = self.alpha0 + self.taus @ self.center
         return estimate / np.linalg.norm(estimate)
 
-    def result(self, norm, direction, history, prior):
+    def result(self, norm, direction, history, prior, target):
         """The exam: norm times a unit direction, certified by err."""
         v_hat = norm * direction
         innovation = (0.0 if prior is None
@@ -397,7 +401,7 @@ class _Chart:
         return ExamResult(v_hat=v_hat, queries_used=self.queries,
                           angle_bound=self.err, known_norm=norm,
                           alpha_history=tuple(history),
-                          innovation=innovation)
+                          innovation=innovation, target=target)
 
 
 def approx_recover_sign(sign_oracle, d, norm, eps_est, prior=None,
@@ -417,8 +421,10 @@ def approx_recover_sign(sign_oracle, d, norm, eps_est, prior=None,
     norm * 2 * E <= eps_est (2 * E bounds the unit-vector chord, see
     ExamResult.est_error), once E <= 1e-15, or once the widest bracket
     is down to adjacent floats.  v_hat is norm times the final estimate,
-    the reported angle_bound is the final E, and queries_used counts
-    every oracle call.
+    the reported angle_bound is the final E, target is eps_est, and
+    queries_used counts every oracle call.  eps_est is the whole target:
+    the exam takes it as given, so a caller that fixes it before the
+    first query keeps the query count free of the answers.
 
     Without a prior the exam is cold:
     1. Query the d coordinate signs s_i = sign(u_i) and anchor at
@@ -488,7 +494,7 @@ def approx_recover_sign(sign_oracle, d, norm, eps_est, prior=None,
     estimate = chart.estimate()
     if checkpoint is None:
         history = [chart.alpha0, estimate]
-    return chart.result(norm, estimate, history, prior)
+    return chart.result(norm, estimate, history, prior, eps_est)
 
 
 def _gallop(chart, radius):
@@ -529,7 +535,8 @@ def _gallop(chart, radius):
     return lo, hi
 
 
-def construct_virtual_learner(remote, config, prior=None, last=None):
+def construct_virtual_learner(remote, config, prior=None, last=None,
+                              target=None):
     """Run the exam appropriate to the student's feedback channel.
 
     Dispatches on feedback kind: identity/sigmoid use d basis queries and
@@ -537,13 +544,15 @@ def construct_virtual_learner(remote, config, prior=None, last=None):
     solves the differences as identity answers (2d queries); sign
     feedback asks the student for the norm ||G^T w|| (one
     remote.disclosed_norm() per exam) and runs the direction search.
-    The exact exams need no prior and ignore prior and last.
+    The exact exams need no prior and ignore prior, last and target.
 
     A sign exam given the caller's estimate ``prior`` of v is warm (see
     approx_recover_sign), and ``last``, the caller's previous ExamResult,
     sizes its gallop: the radius is last's innovation per chart
     coordinate, ||v_exam - v_propagated|| / sqrt(max(d - 1, 1)), floored at
-    last's certified error, both relative to last's disclosed norm.
+    last's certified error, both relative to last's disclosed norm.  A
+    sign exam certifies max(config.eps_est, target), or config.eps_est
+    when target is None, and records it as the result's target.
     """
     d = remote.dim
     kind = remote.feedback
@@ -552,8 +561,10 @@ def construct_virtual_learner(remote, config, prior=None, last=None):
         if last is not None:
             radius = max(last.innovation / math.sqrt(max(d - 1, 1)),
                          last.est_error()) / last.known_norm
+        eps = (config.eps_est if target is None
+               else max(config.eps_est, target))
         return approx_recover_sign(remote.query, d, remote.disclosed_norm(),
-                                   config.eps_est, prior=prior, radius=radius)
+                                   eps, prior=prior, radius=radius)
     if kind not in ("identity", "sigmoid", "hinge_value"):
         raise ValueError(f"no exam protocol for feedback {kind!r}")
     queries = make_basis_queries(d, config.query_seed,

@@ -38,6 +38,15 @@ _GUARD_LIMIT = 1e300
 # largest eta-free step |gamma beta| |z| a logistic candidate can take
 # against the sign of its prediction z
 _LOGISTIC_STEP = 0.2784645427610738
+# A re-exam's target as a fraction c of the teacher's own distance
+# estimate D = ||v - v*||, fixed before the exam's first query.  A greedy
+# step that takes the estimate to rho D leaves a student the exam placed
+# within e <= c D of it at most rho D + e <= (rho + c) D from v*, up to
+# the change of beta between the two: the exam error adds at most c to
+# the step's contraction factor.  c = 0.05 keeps that addition small,
+# and on the sign_sweep benchmark's forgetting students (d = 20) it cuts
+# a warm re-exam from about 345 queries to about 122.
+_EXAM_TARGET_FRACTION = 0.05
 
 
 class TeachingComplete(Exception):
@@ -597,8 +606,12 @@ class ActiveTeacher(_GreedyTeacher):
     re-examines every that-many iterations.  "auto" means None for
     unitary maps and 1 otherwise.  Every exam passes the propagated
     estimate and the last exam to construct_virtual_learner, so a sign
-    re-exam is warm and sized by the last one; the exact exams ignore
-    both.
+    re-exam is warm and sized by the last one.  It also passes a target
+    of _EXAM_TARGET_FRACTION times its estimate's distance to v*, fixed
+    before the first query, so a sign re-exam certifies only what the
+    next step needs, max(eps_est, 0.05 ||v - v*||).  An exam with no
+    estimate (the first, and prime's) is cold at eps_est.  The exact
+    exams ignore prior, last and target.
 
     ``virtual`` is the read-only estimate of G^T w: the last exam's v_hat,
     propagated through every step since.  ``last_exam`` is that exam's
@@ -641,9 +654,14 @@ class ActiveTeacher(_GreedyTeacher):
                 and self._t % period == 0)
 
     def _examine(self, remote):
+        target = None
+        if self.virtual is not None:
+            target = _EXAM_TARGET_FRACTION * float(
+                np.linalg.norm(self.virtual - self.v_star))
         result = construct_virtual_learner(remote, self.recovery,
                                            prior=self.virtual,
-                                           last=self.last_exam)
+                                           last=self.last_exam,
+                                           target=target)
         self.last_exam = result
         self.virtual = result.v_hat
         self._last_exam_t = self._t

@@ -524,6 +524,59 @@ def test_construct_virtual_learner_all_feedbacks():
         assert rem.norm_disclosures == (feedback == "sign")
 
 
+def _exam_fields(result):
+    """Every field of an ExamResult, arrays as bytes, for exact equality."""
+    fields = dict(vars(result))
+    fields["v_hat"] = result.v_hat.tobytes()
+    fields["alpha_history"] = [a.tobytes() for a in result.alpha_history]
+    return fields
+
+
+def test_exact_exams_ignore_the_target():
+    # an exact exam certifies what its queries give, so a target changes
+    # nothing, and none is recorded
+    gen = np.random.default_rng(26)
+    d = 6
+    fmap = random_map(d, "general", 4)
+    w = gen.standard_normal(d) / 3.0
+    cfg = RecoveryConfig(query_seed=2)
+    for feedback, loss in (("identity", "square"), ("sigmoid", "logistic"),
+                           ("hinge_value", "hinge")):
+        plain = construct_virtual_learner(_remote(w, feedback, fmap,
+                                                  loss=loss), cfg)
+        assert plain.target is None
+        for target in (1e-12, 0.3, 10.0):
+            aimed = construct_virtual_learner(
+                _remote(w, feedback, fmap, loss=loss), cfg, target=target)
+            assert _exam_fields(aimed) == _exam_fields(plain)
+
+
+def test_a_sign_target_below_eps_est_runs_the_eps_est_exam():
+    # eps_est floors the target: a cold exam and a warm one asked for less
+    # are the exams at eps_est, query for query
+    gen = np.random.default_rng(27)
+    d = 9
+    fmap = random_map(d, "unitary", 5)
+    w = gen.standard_normal(d)
+    cfg = RecoveryConfig(eps_est=1e-5)
+    cold = construct_virtual_learner(_sign_remote(w, fmap), cfg)
+    prior = cold.v_hat + 1e-3 * gen.standard_normal(d)
+    for prior, last in ((None, None), (prior, cold)):
+        plain = construct_virtual_learner(_sign_remote(w, fmap), cfg,
+                                          prior=prior, last=last)
+        assert plain.target == cfg.eps_est
+        for target in (0.0, 1e-9, cfg.eps_est):
+            low = construct_virtual_learner(_sign_remote(w, fmap), cfg,
+                                            prior=prior, last=last,
+                                            target=target)
+            assert _exam_fields(low) == _exam_fields(plain)
+    # a target above eps_est is recorded and certified
+    high = construct_virtual_learner(_sign_remote(w, fmap), cfg,
+                                     target=1e-2)
+    assert high.target == 1e-2 and high.est_error() <= 1e-2
+    assert high.queries_used < cold.queries_used
+
+
 def test_exam_query_counts_by_feedback(monkeypatch):
     # as for the sign probes, the benchmark tracer checks RemoteLearner
     # .query calls against query_samples: every exact-exam query is one

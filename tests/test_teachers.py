@@ -10,7 +10,8 @@ import teachsim.exam
 import teachsim.teachers
 from teachsim.exam import RemoteLearner
 from teachsim.experiments import (DatasetSpec, ExperimentConfig,
-                                  run_experiment, run_multi_teacher)
+                                  run_experiment, run_forgetting_scenario,
+                                  run_multi_teacher)
 from teachsim.feature_space import (conjugate_apply, random_map,
                                     spectral_stats)
 from teachsim.learners import LearnerState, loss_grad
@@ -20,6 +21,7 @@ from teachsim.teachers import (ActiveTeacher, DegenerateDirectionError,
                                default_gamma_grid, omniscient_objective,
                                random_select, select_example, select_pool,
                                select_synthesis)
+from teachsim.traces import samples_to_threshold, write_trace
 
 
 def test_objective_is_one_step_distance_change():
@@ -744,10 +746,10 @@ def test_black_box_teachers_use_only_the_protocol(monkeypatch):
     warm, lasts, results = [], [], []
     exam = teachsim.teachers.construct_virtual_learner
 
-    def recording_exam(remote, config, prior=None, last=None):
+    def recording_exam(remote, config, prior=None, last=None, target=None):
         # warm: the exam anchored its chart at the teacher's estimate
         # (an exact exam records no chart)
-        result = exam(remote, config, prior=prior, last=last)
+        result = exam(remote, config, prior=prior, last=last, target=target)
         warm.append(prior is not None and len(result.alpha_history) > 0
                     and np.array_equal(result.alpha_history[0],
                                        prior / np.linalg.norm(prior)))
@@ -893,6 +895,89 @@ def test_sign_reexams_keep_their_warm_start_radius(monkeypatch, map_kind):
         assert next_prior is not None
         assert radius == expected
         assert result.innovation == innovation
+
+
+def test_sign_reexams_certify_a_fraction_of_the_estimated_distance(
+        monkeypatch):
+    # an active teacher of a forgetting sign student: the first exam has
+    # no estimate and is cold at eps_est; every re-exam is asked for
+    # max(eps_est, 0.05 ||prior - v*||) of the estimate it starts from,
+    # bit for bit, and every exam certifies its target
+    d, eta, loss, steps = 20, 0.01, "hinge", 30
+    calls = []
+    search = teachsim.exam.approx_recover_sign
+
+    def recording_search(oracle, dim, norm, eps_est, prior=None,
+                         radius=None):
+        result = search(oracle, dim, norm, eps_est, prior=prior,
+                        radius=radius)
+        calls.append((prior, result))
+        return result
+
+    monkeypatch.setattr(teachsim.exam, "approx_recover_sign",
+                        recording_search)
+    gen = np.random.default_rng(26)
+    v_star = gen.standard_normal(d)
+    x = gen.standard_normal((60, d))
+    mode = TeachingMode.rescalable_pool(x, np.where(x @ v_star >= 0, 1.0,
+                                                    -1.0))
+    teacher = ActiveTeacher(v_star, mode, eta, loss, exam_period=1)
+    remote = RemoteLearner(LearnerState(w=gen.standard_normal(d), eta=eta,
+                                        loss=loss, feedback="sign",
+                                        sigma_forget=0.01, seed=7),
+                           random_map(d, "identity", 0))
+    for _ in range(steps):
+        assert teacher.step(remote) is not None
+    eps_est = teacher.recovery.eps_est
+    assert len(calls) == steps
+    assert calls[0][0] is None and calls[0][1].target == eps_est
+    for prior, result in calls[1:]:
+        assert result.target == max(
+            eps_est, 0.05 * float(np.linalg.norm(prior - v_star)))
+        assert result.target > eps_est
+    assert all(result.est_error() <= result.target for _, result in calls)
+
+
+def test_the_exam_target_moves_only_the_active_sign_trace(monkeypatch,
+                                                          tmp_path):
+    # with the fraction at 0 the forgetting scenario runs the eps_est
+    # exams of a teacher that passes no target, trace for trace; at the
+    # default fraction only the active trace moves: it spends fewer
+    # queries and reaches half its start distance in as many samples
+    cfg = ExperimentConfig(
+        dataset=DatasetSpec(task="classification", d=20, n=100, seed=3),
+        loss="hinge", feedback="sign", eta=0.01, teacher="active",
+        stop_tol=0.0, mode_kind="rescalable_pool", ridge=0.1,
+        iterations=100, w0_seed=3, noise_seed=3, run_seed=3)
+    exam = teachsim.teachers.construct_virtual_learner
+
+    def untargeted_exam(remote, config, prior=None, last=None, target=None):
+        return exam(remote, config, prior=prior, last=last)
+
+    def trace_bytes(name):
+        traces = run_forgetting_scenario(cfg, 0.01)
+        out = {}
+        for kind, rows in traces.items():
+            path = tmp_path / f"{name}_{kind}.csv"
+            write_trace(path, rows)
+            out[kind] = path.read_bytes()
+        return traces["active"], out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(teachsim.teachers, "construct_virtual_learner",
+                      untargeted_exam)
+        _, untargeted = trace_bytes("untargeted")
+    with monkeypatch.context() as patch:
+        patch.setattr(teachsim.teachers, "_EXAM_TARGET_FRACTION", 0.0)
+        zero_active, zero = trace_bytes("zero")
+    active, targeted = trace_bytes("targeted")
+    assert zero == untargeted
+    for kind in ("lazy", "omniscient", "random"):
+        assert targeted[kind] == zero[kind]
+    assert targeted["active"] != zero["active"]
+    assert active[-1].query_samples < zero_active[-1].query_samples
+    assert (samples_to_threshold(active, 0.5)
+            == samples_to_threshold(zero_active, 0.5))
 
 
 def test_one_dimensional_sign_teacher_reexams_with_a_zero_radius(
