@@ -20,9 +20,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     # the student, its map and its exams
-    "LearnerState", "FeatureMap", "random_map", "conjugate_apply",
-    "RemoteLearner", "RecoveryConfig", "construct_virtual_learner",
-    "estimate_learning_rate",
+    "LearnerState", "loss_value", "FeatureMap", "random_map",
+    "conjugate_apply", "RemoteLearner", "RecoveryConfig",
+    "construct_virtual_learner", "estimate_learning_rate",
     # teachers
     "TeachingMode", "ActiveTeacher", "LazyTeacher", "OmniscientTeacher",
     "RandomTeacher",

@@ -16,7 +16,8 @@ import numpy as np
 
 from .exam import RecoveryConfig, RemoteLearner
 from .feature_space import conjugate_apply, random_map, spectral_stats
-from .learners import LearnerState, _sigmoid, loss_value
+from .learners import (LearnerState, _check_labels, _loss_value_kernel,
+                       _sigmoid)
 from .rng import (KEY_DATA, KEY_INIT, KEY_SELECT, KEY_SPLIT, derive_seed,
                   substream)
 from .teachers import (ActiveTeacher, LazyTeacher, OmniscientTeacher,
@@ -419,10 +420,15 @@ def _make_teacher(kind, config, v_star, mode, spectral):
 
 
 class _Evaluator:
-    """Omniscient metric computation shared by all runners."""
+    """Omniscient metric computation shared by all runners.
+
+    The training labels are checked against the loss once, here, not at
+    every row.
+    """
 
     def __init__(self, v_star, fmap, train_x, train_y, test_x, test_y, loss,
                  classification):
+        _check_labels(loss, train_y)
         self.v_star = v_star
         self.fmap = fmap
         self.train_x = train_x
@@ -435,7 +441,8 @@ class _Evaluator:
     def row(self, iteration, remote):
         v_t = conjugate_apply(self.fmap, remote.state.w)
         z = self.train_x @ v_t
-        objective = float(np.mean(loss_value(self.loss, z, self.train_y)))
+        objective = float(np.mean(
+            _loss_value_kernel(self.loss, z, self.train_y)))
         param_dist = float(np.linalg.norm(v_t - self.v_star))
         accuracy = None
         if self.classification and self.test_x.shape[0] > 0:

@@ -72,6 +72,11 @@ def _sigmoid_float(t):
 def loss_value(loss, z, y):
     """Pointwise loss at scalar prediction z and label y (broadcasts)."""
     _check_labels(loss, y)
+    return _loss_value_kernel(loss, z, y)
+
+
+def _loss_value_kernel(loss, z, y):
+    """loss_value for a loss and labels that _check_labels has passed."""
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if loss == "square":

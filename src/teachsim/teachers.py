@@ -15,6 +15,7 @@ the black-box variant reads an exam-maintained estimate.
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +73,28 @@ def _positive(norm_bound, optional=False):
     return float(norm_bound)
 
 
+class _PoolStats(NamedTuple):
+    """What select_pool reads of a pool mode besides its arrays, fixed
+    with the mode: the row norms, gamma^2 as a column, whether every
+    label is +-1, and the largest |gamma|, ||x||^2 and |y|."""
+    norms: np.ndarray
+    g_sq: np.ndarray
+    unit_labels: bool
+    g_max: float
+    n_max: float
+    y_max: float
+
+
+def _pool_stats(grid, y, norms_sq):
+    """The _PoolStats of a pool with this grid, labels and row norms."""
+    g_col = grid[:, None]
+    return _PoolStats(norms=np.sqrt(norms_sq), g_sq=g_col * g_col,
+                      unit_labels=bool(np.all(np.abs(y) == 1)),
+                      g_max=float(np.abs(grid).max()),
+                      n_max=float(norms_sq.max()),
+                      y_max=float(np.abs(y).max()))
+
+
 @dataclass(frozen=True)
 class TeachingMode:
     """What the teacher is allowed to feed the student.
@@ -83,6 +106,9 @@ class TeachingMode:
     pool: one of the candidate pairs, as is.
     rescalable_pool: a candidate pair scaled by any gamma in gamma_grid
       (subject to norm_bound when one is set).
+
+    A pool mode also carries the squared row norms and _PoolStats, both
+    computed once here for select_pool.
     """
     tag: str
     norm_bound: float | None = None
@@ -91,6 +117,7 @@ class TeachingMode:
     gamma_grid: np.ndarray | None = None
     basis: np.ndarray | None = None
     pool_norms_sq: np.ndarray | None = None
+    pool_stats: "_PoolStats | None" = None
 
     @classmethod
     def synthesis(cls, norm_bound):
@@ -104,10 +131,11 @@ class TeachingMode:
     @classmethod
     def pool(cls, pool_x, pool_y, norm_bound=None):
         x, y, norms = cls._check_pool(pool_x, pool_y)
-        return cls(tag="pool", pool_x=x, pool_y=y,
-                   gamma_grid=np.array([1.0]),
+        grid = np.array([1.0])
+        return cls(tag="pool", pool_x=x, pool_y=y, gamma_grid=grid,
                    norm_bound=_positive(norm_bound, optional=True),
-                   pool_norms_sq=norms)
+                   pool_norms_sq=norms,
+                   pool_stats=_pool_stats(grid, y, norms))
 
     @classmethod
     def rescalable_pool(cls, pool_x, pool_y, gamma_grid=None,
@@ -120,7 +148,8 @@ class TeachingMode:
         return cls(tag="rescalable_pool", pool_x=x, pool_y=y,
                    gamma_grid=grid,
                    norm_bound=_positive(norm_bound, optional=True),
-                   pool_norms_sq=norms)
+                   pool_norms_sq=norms,
+                   pool_stats=_pool_stats(grid, y, norms))
 
     @staticmethod
     def _check_pool(pool_x, pool_y):
@@ -181,17 +210,18 @@ def select_pool(v, v_star, mode, eta, loss):
     found so far can neither win nor tie.
 
     Scan order.  The floors cost O(k) from the products x @ v and
-    x @ (v - v*) and the pool norms; one argsort ranks the candidates,
-    deepest floor first.  They are scored in column blocks of
-    ``_POOL_BLOCK_ELEMENTS // len(grid)`` candidates across the whole
-    grid, each block in pool-index order, and the scan stops before a
-    block whose first floor, the deepest left, lies above the best score
-    so far by the margin below.  Each grid row keeps its least (value,
-    index) over the blocks scored, and one lexsort on (value, index,
-    |gamma|) over the rows picks the winner: the tie rule over every
-    candidate scored.  A candidate's value goes through the same
-    elementwise operations in the same order as in a full sweep, so it is
-    the same bit for bit.
+    x @ (v - v*) and the pool norms, and one argmax finds the deepest.
+    That candidate is scored first, across the whole grid; if the
+    deepest floor left (an O(k) max) lies above the best score so far by
+    the margin below, the scan stops with nothing sorted.  Otherwise the
+    rest is sorted, deepest floor first, and scored in column blocks of
+    2, 4, 8 ... candidates, up to ``_POOL_BLOCK_ELEMENTS // len(grid)``,
+    with the same test before each block.  Each block is scored in
+    pool-index order.  Each grid row keeps its least (value, index) over
+    the blocks scored, and one lexsort on (value, index, |gamma|) over
+    the rows picks the winner: the tie rule over every candidate scored.
+    A candidate's value goes through the same elementwise operations in
+    the same order as in a full sweep, so it is the same bit for bit.
 
     Margin.  A computed score carries at most six roundings of relative
     size 2^-53 in each term and one in their difference, and beta and the
@@ -203,8 +233,7 @@ def select_pool(v, v_star, mode, eta, loss):
 
     Pruning needs eta > 0, finite inputs and an O(k) bound showing that
     no partial product can overflow (_prune_slack).  Without them, and
-    for a pool that fits in two blocks (pruning could save one block at
-    most, about what ranking costs), the blocks are scored in index
+    for a pool that fits in one block, the blocks are scored in index
     order: the full sweep.
     """
     if mode.tag not in ("pool", "rescalable_pool"):
@@ -212,61 +241,71 @@ def select_pool(v, v_star, mode, eta, loss):
     v = np.asarray(v, dtype=np.float64)
     v_star = np.asarray(v_star, dtype=np.float64)
     x_pool, y_pool = mode.pool_x, mode.pool_y
-    # the pool labels are checked here once, not once per block
-    _check_labels(loss, y_pool)
+    stats = mode.pool_stats
+    # the mode tested its labels for +-1 once; other labels, which only
+    # the square loss accepts, take the array check
+    _check_labels(loss, 1.0 if stats.unit_labels else y_pool)
     base_z = x_pool @ v
     base_diff = x_pool @ (v - v_star)
     norms_sq = mode.pool_norms_sq
-    norms = np.sqrt(norms_sq)
     grid = mode.gamma_grid
     g_col = grid[:, None]
-    g_sq = g_col * g_col
     k = len(y_pool)
     width = max(1, _POOL_BLOCK_ELEMENTS // len(grid))
-    slack = None
-    if k <= 2 * width:
-        width = k
-    else:
-        slack = _prune_slack(eta, loss, grid, base_z, base_diff, norms_sq,
-                             y_pool)
-    if slack is None:
-        order = np.arange(k)
-    else:
-        depth = _floor_depths(eta, loss, grid, base_z, base_diff, norms_sq,
-                              y_pool)
-        order = np.argsort(-depth)
     all_rows = np.arange(len(grid))
     # per grid row: the least (value, pool index) over the blocks scored.
     # argmin returns a row's first NaN and np.minimum keeps it, so a row
     # with a NaN or -inf anywhere ends with a value that is not finite.
     row_val = row_idx = None
-    for start in range(0, k, width):
-        cols = order[start:start + width]
-        if slack is not None:
-            if start and (depth[cols[0]] * (1.0 + _FLOOR_MARGIN) + slack
-                          < -row_val.min()):
-                break
-            cols = np.sort(cols)
+    slack = (None if k <= width
+             else _prune_slack(eta, loss, mode, base_z, base_diff))
+
+    def score(cols):
+        nonlocal row_val, row_idx
         beta = _loss_grad_kernel(loss, g_col * base_z[cols], y_pool[cols])
-        obj = (eta * eta * beta * beta * g_sq * norms_sq[cols]
+        obj = (eta * eta * beta * beta * stats.g_sq * norms_sq[cols]
                - 2.0 * eta * beta * g_col * base_diff[cols])
         if mode.norm_bound is not None:
-            obj = np.where(np.abs(g_col) * norms[cols] <= mode.norm_bound,
-                           obj, np.inf)
+            obj = np.where(np.abs(g_col) * stats.norms[cols]
+                           <= mode.norm_bound, obj, np.inf)
         j = np.argmin(obj, axis=1)
         val, idx = obj[all_rows, j], cols[j]
-        if start:
+        if row_val is None:
+            row_val, row_idx = val, idx
+        else:
             take = (val < row_val) | ((val == row_val) & (idx < row_idx))
             row_idx = np.where(take, idx, row_idx)
             row_val = np.minimum(row_val, val)
-        else:
-            row_val, row_idx = val, idx
+
+    def settled(floor):
+        # the deepest floor left lies above the best score by the margin
+        return floor * (1.0 + _FLOOR_MARGIN) + slack < -row_val.min()
+
+    if slack is None:
+        for start in range(0, k, width):
+            score(np.arange(start, min(start + width, k)))
+    else:
+        depth = _floor_depths(eta, loss, mode, base_z, base_diff)
+        # argmax returns the first NaN, if any, else the deepest floor;
+        # once scored its floor is -inf, and depth.max() the deepest left
+        deepest = depth.argmax()
+        depth[deepest] = -np.inf
+        score(np.array([deepest]))
+        if not settled(depth.max()):
+            # deepest first, NaN before inf as NumPy sorts it; the slice
+            # drops the scored floor, which sorts first at -inf
+            rest = np.argsort(depth)[:0:-1]
+            start, size = 0, 2
+            while start < len(rest) and not settled(depth[rest[start]]):
+                score(np.sort(rest[start:start + size]))
+                start += size
+                size = min(2 * size, width)
     # lexsort is stable, so a full tie on (value, index, |gamma|) keeps
     # the earliest row
     rows = np.flatnonzero(np.isfinite(row_val))
     if rows.size == 0:
         if mode.norm_bound is not None and not np.any(
-                np.abs(g_col) * norms <= mode.norm_bound):
+                np.abs(g_col) * stats.norms <= mode.norm_bound):
             raise ValueError(
                 "no pool candidate satisfies the norm bound; nothing to "
                 "teach")
@@ -284,7 +323,7 @@ def select_pool(v, v_star, mode, eta, loss):
         index=idx)
 
 
-def _floor_depths(eta, loss, grid, base_z, base_diff, norms_sq, y_pool):
+def _floor_depths(eta, loss, mode, base_z, base_diff):
     """Per candidate, how far below 0 its score can reach over the grid.
 
     The score q(t) = t^2 n - 2 t c is negative only for steps t = eta
@@ -301,27 +340,31 @@ def _floor_depths(eta, loss, grid, base_z, base_diff, norms_sq, y_pool):
     - square: t = eta (gamma^2 z - gamma y), so |t| <= eta (G^2 |z| +
       G |y|), and s t <= eta y^2 / (4 |z|) when s z < 0.
 
-    Returns -q(tau) >= 0; inf where it is undefined, so that candidate is
-    always scored.
+    T is the least of the bounds that hold.  The bound for s z < 0 reads
+    |z| through w, which is |z| there and 0 elsewhere, where the bound
+    is inf, so no np.where is needed.  Returns -q(tau) >= 0.  On the
+    finite inputs select_pool prunes with, T is finite and so is every
+    floor; a NaN floor would rank deepest there (argmax and sort put NaN
+    above inf) and never pass the stop test, so it is always scored.
     """
-    g = float(np.abs(grid).max())
+    g = mode.pool_stats.g_max
+    norms_sq = mode.pool_norms_sq
     c = np.abs(base_diff)
-    z = np.abs(base_z)
-    against = base_diff * base_z < 0
+    w = np.abs(base_z)
+    w *= base_diff * base_z < 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if loss == "square":
-            reach = np.where(against, y_pool * y_pool / (4.0 * z),
-                             g * g * z + g * np.abs(y_pool))
+            y = mode.pool_y
+            cap = np.fmin(eta * (g * g * np.abs(base_z) + g * np.abs(y)),
+                          eta * (y * y) / (4.0 * w))
         else:
             top = _LOGISTIC_STEP if loss == "logistic" else 1.0
-            reach = np.where(against, np.minimum(g, top / z), g)
-        tau = np.fmin(eta * reach, c / norms_sq)
-        depth = tau * (2.0 * c - tau * norms_sq)
-    depth[np.isnan(depth)] = np.inf
-    return depth
+            cap = np.fmin(eta * g, (eta * top) / w)
+        tau = np.fmin(cap, c / norms_sq)
+        return tau * (2.0 * c - tau * norms_sq)
 
 
-def _prune_slack(eta, loss, grid, base_z, base_diff, norms_sq, y_pool):
+def _prune_slack(eta, loss, mode, base_z, base_diff):
     """Absolute slack of select_pool's floor test, or None to score all.
 
     With every factor replaced by max(1, its largest magnitude), the
@@ -330,13 +373,15 @@ def _prune_slack(eta, loss, grid, base_z, base_diff, norms_sq, y_pool):
     margin losses, |gamma z| + |y| for the square loss).  None when eta
     is not positive (the floors assume a positive step), an input is not
     finite or A + B could overflow; otherwise (A + B) 2^-1060 exceeds the
-    underflow error any score or floor can carry.
+    underflow error any score or floor can carry.  The largest |gamma|,
+    n and |y| are the mode's; only those of z and c cost O(k) here.
     """
-    tops = [eta, np.abs(grid).max(), np.abs(base_z).max(),
-            np.abs(base_diff).max(), norms_sq.max(), np.abs(y_pool).max()]
-    if not (eta > 0 and np.all(np.isfinite(tops))):
+    stats = mode.pool_stats
+    tops = (eta, stats.g_max, float(np.abs(base_z).max()),
+            float(np.abs(base_diff).max()), stats.n_max, stats.y_max)
+    if not (eta > 0 and all(map(math.isfinite, tops))):
         return None
-    e, g, z, c, n, y = (max(1.0, float(top)) for top in tops)
+    e, g, z, c, n, y = (max(1.0, top) for top in tops)
     beta = g * z + y if loss == "square" else 1.0
     total = e * e * beta * beta * g * g * n + 2.0 * e * beta * g * c
     return math.ldexp(total, -1060) if total < _GUARD_LIMIT else None

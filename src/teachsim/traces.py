@@ -91,7 +91,12 @@ def write_trace(path, rows):
 
 
 def read_trace(path):
-    """Read a trace file written by write_trace (floats bit-equal)."""
+    """Read a trace file written by write_trace (floats bit-equal).
+
+    A run records at least its first row, so a file with a header and
+    no rows is malformed (TraceFormatError), as are a wrong header and a
+    bad row.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -118,4 +123,6 @@ def read_trace(path):
             except ValueError as exc:
                 raise TraceFormatError(
                     f"{path}: row {r}: {exc}") from None
+    if not rows:
+        raise TraceFormatError(f"{path}: no data rows")
     return rows

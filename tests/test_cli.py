@@ -369,6 +369,23 @@ def test_exit_code_io_errors(tmp_path, capsys):
     assert main(["report", str(tmp_path / "missing.csv")]) == 4
 
 
+@pytest.mark.parametrize("command", ["report", "plot"])
+def test_a_trace_with_a_header_and_no_rows_is_an_io_error(command, tmp_path,
+                                                          capsys):
+    # report once failed at rows[-1] with an IndexError traceback (exit 1)
+    # and plot blamed the metric (exit 3)
+    path = tmp_path / "trace.csv"
+    write_trace(path, [])
+    argv = [command, str(path)]
+    if command == "plot":
+        argv += ["--out", str(tmp_path / "x.svg")]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error[io]: {path}: no data rows\n"
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_exit_code_runtime_errors(tmp_path, capsys):
     # synthesis without a norm bound is a runtime (not parse) failure
     cfg = tmp_path / "r.ini"

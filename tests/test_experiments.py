@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from teachsim.exam import RemoteLearner
 from teachsim.experiments import (DatasetSpec, ExperimentConfig,
-                                  TrainingError,
+                                  TrainingError, _Evaluator,
                                   _train_hinge, _train_logistic,
                                   gen_classification_data,
                                   gen_regression_data, ingest_tabular,
                                   run_experiment, run_forgetting_scenario,
                                   run_multi_teacher,
                                   train_optimal, write_tabular)
+from teachsim.feature_space import conjugate_apply, random_map
+from teachsim.learners import LearnerState, loss_value
 from teachsim.traces import (TraceFormatError, TraceRow, exponential_fit,
                              read_trace, samples_to_threshold, write_trace)
 
@@ -342,6 +345,28 @@ def test_samples_to_threshold():
         samples_to_threshold([])
 
 
+@pytest.mark.parametrize("loss", ["square", "logistic", "hinge"])
+def test_the_objective_column_is_the_mean_training_loss(loss):
+    # the evaluator checks the training labels once, when it is built;
+    # every row's objective is still loss_value's mean, bit for bit
+    gen = np.random.default_rng(21)
+    x, y = gen_classification_data(
+        DatasetSpec(task="classification", d=6, n=40, seed=4))
+    fmap = random_map(6, "general", 3)
+    evaluator = _Evaluator(gen.standard_normal(6), fmap, x, y, x[:10],
+                           y[:10], loss, True)
+    for t in range(4):
+        state = LearnerState(w=gen.standard_normal(6), eta=0.1, loss=loss,
+                             feedback="identity")
+        row = evaluator.row(t, RemoteLearner(state, fmap))
+        v_t = conjugate_apply(fmap, state.w)
+        assert row.objective == float(np.mean(loss_value(loss, x @ v_t, y)))
+    if loss != "square":
+        with pytest.raises(ValueError, match="labels in"):
+            _Evaluator(np.zeros(6), fmap, x, 0.5 * y, x[:10], y[:10], loss,
+                       True)
+
+
 def test_trace_round_trip_bit_exact(tmp_path):
     rows = run_experiment(_quick_config(iterations=7))
     path = tmp_path / "trace.csv"
@@ -378,4 +403,8 @@ def test_read_trace_errors(tmp_path):
         read_trace(path)
     path.write_text("")
     with pytest.raises(TraceFormatError, match="empty"):
+        read_trace(path)
+    path.write_text("iteration,objective,param_dist,test_accuracy,"
+                    "teaching_samples,query_samples\n")
+    with pytest.raises(TraceFormatError, match="no data rows"):
         read_trace(path)

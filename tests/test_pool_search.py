@@ -168,6 +168,27 @@ def _pool(gen, kind, k, d, loss):
          target="partial", v_scale=1.0, eta=0.5, bound=None, seed=16)
 @example(loss="logistic", k=1600, d=2, kind="gaussian", grid_kind="default",
          target="beyond", v_scale=1.0, eta=0.01, bound=None, seed=2)
+# The scan's paths, each checked when the example was added: the two
+# deepest floors tie, so the first block of one cannot settle the step
+# (eight blocks run); the winner ranks 18th by floor, so blocks of 2, 4, 8
+# and 16 follow the first; a norm bound masks part of a pruned scan (three
+# blocks, then two); and k = 59, 60 and 61 sit below, at and above the
+# one-block threshold of the 82-point grid, where pruning starts.
+@example(loss="logistic", k=2000, d=20, kind="duplicates",
+         grid_kind="default", target="zero", v_scale=1.0, eta=0.5,
+         bound=None, seed=779)
+@example(loss="logistic", k=1600, d=2, kind="gaussian", grid_kind="default",
+         target="zero", v_scale=1e-3, eta=0.01, bound=None, seed=725)
+@example(loss="square", k=1600, d=2, kind="zeros", grid_kind="default",
+         target="zero", v_scale=30.0, eta=0.5, bound=0.01, seed=257)
+@example(loss="logistic", k=1600, d=3, kind="zeros", grid_kind="default",
+         target="zero", v_scale=1e-3, eta=0.01, bound=0.01, seed=808)
+@example(loss="logistic", k=59, d=5, kind="gaussian", grid_kind="default",
+         target="random", v_scale=1.0, eta=0.01, bound=None, seed=12)
+@example(loss="logistic", k=60, d=5, kind="gaussian", grid_kind="default",
+         target="random", v_scale=1.0, eta=0.01, bound=None, seed=12)
+@example(loss="logistic", k=61, d=5, kind="gaussian", grid_kind="default",
+         target="random", v_scale=1.0, eta=0.01, bound=None, seed=12)
 def test_select_pool_matches_reference_bit_for_bit(
         loss, k, d, kind, grid_kind, target, v_scale, eta, bound, seed):
     gen = np.random.default_rng(seed)
@@ -203,12 +224,48 @@ def test_overflow_guard_turns_pruning_off():
                                 (1e160, "logistic", True)):
         v = gen.standard_normal(10) * scale
         y = gen.choice([-1.0, 1.0], size=400)
-        slack = teachers._prune_slack(0.01, loss, grid, x @ v, x @ v,
-                                      np.einsum("ij,ij->i", x, x), y)
+        mode = TeachingMode.rescalable_pool(x, y, gamma_grid=grid)
+        slack = teachers._prune_slack(0.01, loss, mode, x @ v, x @ v)
         assert (slack is not None) == pruned
     v = gen.standard_normal(10)
-    assert teachers._prune_slack(float("nan"), "square", grid, x @ v, x @ v,
-                                 np.einsum("ij,ij->i", x, x), y) is None
+    assert teachers._prune_slack(float("nan"), "square", mode, x @ v,
+                                 x @ v) is None
+
+
+def test_unbounded_floors_are_scored_first(monkeypatch):
+    # With finite inputs every floor is finite, since the step cap is, so
+    # inf and NaN floors, which the scan must never prune, are forced
+    # here: seven of them, more than the first block of one holds.  They
+    # fill the blocks of 1, 2 and 4 before any finite floor, and the pick
+    # is still the reference's.  The square loss's real-valued labels
+    # tell which candidates each block scored.
+    gen = np.random.default_rng(5)
+    x = gen.standard_normal((1600, 20))
+    y = gen.standard_normal(1600)
+    mode = TeachingMode.rescalable_pool(x, y)
+    v, v_star = gen.standard_normal(20), gen.standard_normal(20)
+    forced = gen.choice(1600, size=7, replace=False)
+    floors = teachers._floor_depths
+
+    def unbounded(*args):
+        depth = floors(*args)
+        depth[forced[:4]] = np.inf
+        depth[forced[4:]] = np.nan
+        return depth
+
+    monkeypatch.setattr(teachers, "_floor_depths", unbounded)
+    blocks = []
+
+    def recording_kernel(loss, z, labels):
+        blocks.append(sorted(np.flatnonzero(np.isin(y, labels)).tolist()))
+        return _loss_grad_kernel(loss, z, labels)
+
+    monkeypatch.setattr(teachers, "_loss_grad_kernel", recording_kernel)
+    assert (_outcome(select_pool, v, v_star, mode, 0.01, "square")
+            == _outcome(reference_select_pool, v, v_star, mode, 0.01,
+                        "square"))
+    assert [len(b) for b in blocks[:3]] == [1, 2, 4]
+    assert sorted(blocks[0] + blocks[1] + blocks[2]) == sorted(forced)
 
 
 def _count_kernel_values(monkeypatch):

@@ -151,10 +151,10 @@ def _scan_pool(v, v_star, mode, eta, loss):
 
 # Pools of few distinct small-integer rows, repeated, and gamma grids
 # symmetric in sign (magnitudes may repeat) make value, index and |gamma|
-# ties common; v = v* or v = 0 makes whole rows tie.  k spans one block
-# (k <= 149 at the 82-point grid) to many blocks of a few rows each, and
-# a bound that is a small fraction of the largest |gamma| ||x|| masks the
-# large-|gamma| blocks whole (or every candidate).
+# ties common; v = v* or v = 0 makes whole rows tie.  k spans the full
+# sweep (k <= 60 at the 82-point grid, one block) to pruned scans of many
+# blocks, and a bound that is a small fraction of the largest
+# |gamma| ||x|| masks the large-|gamma| rows whole (or every candidate).
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(loss=st.sampled_from(("square", "logistic", "hinge")),
        k=st.integers(50, 4000), d=st.integers(1, 5),
