@@ -580,7 +580,8 @@ def test_a_sign_target_below_eps_est_runs_the_eps_est_exam():
 def test_exam_query_counts_by_feedback(monkeypatch):
     # as for the sign probes, the benchmark tracer checks RemoteLearner
     # .query calls against query_samples: every exact-exam query is one
-    # call too
+    # call too, on the exam that builds its query plan and on the exams
+    # that reuse it, with Gaussian and with coordinate queries
     calls = [0]
     query = RemoteLearner.query
 
@@ -591,16 +592,20 @@ def test_exam_query_counts_by_feedback(monkeypatch):
     monkeypatch.setattr(RemoteLearner, "query", counted)
     gen = np.random.default_rng(6)
     d = 5
-    fmap = random_map(d, "unitary", 2)
     w = gen.standard_normal(d) / 3.0
-    for feedback, loss, expected in (("identity", "square", d),
-                                     ("sigmoid", "logistic", d),
-                                     ("hinge_value", "hinge", 2 * d)):
-        calls[0] = 0
-        rem = _remote(w, feedback, fmap, loss=loss)
-        res = construct_virtual_learner(rem, RecoveryConfig(query_seed=1))
-        assert res.queries_used == expected
-        assert calls[0] == rem.query_samples == expected
+    for map_kind, standard in (("unitary", False), ("general", False),
+                               ("general", True)):
+        fmap = random_map(d, map_kind, 2)
+        cfg = RecoveryConfig(query_seed=1, standard_queries=standard)
+        for feedback, loss, expected in (("identity", "square", d),
+                                         ("sigmoid", "logistic", d),
+                                         ("hinge_value", "hinge", 2 * d)):
+            rem = _remote(w, feedback, fmap, loss=loss)
+            for exam in range(1, 4):
+                calls[0] = 0
+                res = construct_virtual_learner(rem, cfg)
+                assert res.queries_used == calls[0] == expected
+                assert rem.query_samples == exam * expected
 
 
 def test_estimate_learning_rate_exact_budget_and_accuracy():
