@@ -17,11 +17,9 @@ recovery into a problem about v = G^T w in the teacher's own space:
 All exams leave the student untouched; only teaching steps move w.
 """
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,10 +40,6 @@ _CONTRACTION_RHO = 0.8
 _MAX_CHECKPOINTS = 60
 _GRAD_COORD_MIN = 1e-8
 _FLOAT64 = np.dtype(np.float64)
-# Query plans kept at once (see query_plan).  A run asks for one
-# (d, query_seed), and a plan at d = 50 holds 20 KB; a process that runs
-# many configs keeps only the last few.
-_PLAN_CACHE_SIZE = 4
 
 
 class RankDeficientError(ValueError):
@@ -102,29 +96,23 @@ class RemoteLearner:
     def query(self, x):
         """Feedback F(<w, G x>) for a teacher-space query x.
 
-        A C-contiguous float64 vector of the learner's shape, what every
-        exam asks, is answered as F(<w, G x>) without respond's
-        re-checks: w.dot(apply_map(G, x)) runs the ddot respond runs on
-        the contiguous image G x, so the bits are those of
-        respond(state, apply_map(fmap, x)).  On an identity map
-        (FeatureMap.is_identity) the product is skipped too, F(<w, x>)
-        from one ddot: for a finite x, I x equals x but for the sign of
-        a zero entry, so <w, x> equals the product path's prediction but
-        for the sign of a zero sum, and every channel answers +0.0 and
-        -0.0 alike.  A prediction that is not finite may come from an
-        infinite or NaN entry, where I x differs from x (0 * inf is
-        NaN), so it is asked again on the general path, which every
-        other input takes.  Either way a query is one call and counts
-        once.
+        On an identity map (FeatureMap.is_identity) a C-contiguous
+        float64 vector of the learner's shape is answered from one ddot,
+        F(<w, x>), without the product I x or respond's checks.  The bits
+        are those of respond(state, apply_map(fmap, x)): for a finite x,
+        I x equals x but for the sign of a zero entry, so <w, x> equals
+        the product path's prediction but for the sign of a zero sum,
+        and every channel answers +0.0 and -0.0 alike.  A prediction that
+        is not finite may come from an infinite or NaN entry, where I x
+        differs from x (0 * inf is NaN), so it is asked again on the
+        general path, which every other input and map takes.  Either way
+        a query is one call and counts once.
         """
         self.query_samples += 1
         state = self._state
-        if (type(x) is np.ndarray and x.dtype == _FLOAT64
-                and x.shape == state.w.shape and x.flags.c_contiguous):
-            if not self._fmap.is_identity:
-                return feedback_value(
-                    state.feedback,
-                    float(state.w.dot(apply_map(self._fmap, x))))
+        if (self._fmap.is_identity and type(x) is np.ndarray
+                and x.dtype == _FLOAT64 and x.shape == state.w.shape
+                and x.flags.c_contiguous):
             z = float(state.w.dot(x))
             if math.isfinite(z):
                 return feedback_value(state.feedback, z)
@@ -160,8 +148,8 @@ class RecoveryConfig:
       of eps_est and the target its teacher asks for (see
       construct_virtual_learner).
     query_seed, standard_queries: the exact exams' query directions, as
-      query_plan takes its seed and standard arguments: an integer >= 0
-      (a numpy integer is stored as an int) and a bool.
+      make_basis_queries takes its seed and standard arguments: an
+      integer >= 0 (a numpy integer is stored as an int) and a bool.
     """
     eps_est: float = 1e-6
     query_seed: int = 0
@@ -229,30 +217,15 @@ class ExamResult:
         return self.known_norm * 2.0 * self.angle_bound
 
 
-class QueryPlan(NamedTuple):
-    """The query rows of an exact exam and what its solve needs of them.
-
-    queries: a read-only (d, d) matrix, one query per row.
-    svals: its singular values, largest first, read-only; they decide
-      the rank in exact_recover_bijective.
-    standard: whether queries is the coordinate basis e_1..e_d, whose
-      singular values are all 1 and whose system I v = F^-1(r) is
-      solved in closed form.
-    """
-    queries: np.ndarray
-    svals: np.ndarray
-    standard: bool
-
-
 def make_basis_queries(d, seed, standard=False):
     """d teacher-space query directions, the rows of a read-only (d, d)
     matrix.
 
     standard=True returns the coordinate basis e_1..e_d; otherwise seeded
     Gaussian directions.  Same seed -> same queries, so exams are
-    replayable.  Their rank is decided by their singular values (see
-    query_plan): exact_recover_bijective raises RankDeficientError when
-    the smallest is at most 1e-10 of the largest.
+    replayable.  Their rank is decided by their singular values:
+    exact_recover_bijective raises RankDeficientError when the smallest
+    is at most 1e-10 of the largest.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
@@ -262,31 +235,6 @@ def make_basis_queries(d, seed, standard=False):
         queries = substream(seed, KEY_QUERIES).standard_normal((d, d))
     queries.setflags(write=False)
     return queries
-
-
-def query_plan(d, seed, standard=False):
-    """The QueryPlan of make_basis_queries(d, seed, standard).
-
-    Plans are cached per (d, seed), an integer that names the draw,
-    and per d for the coordinate basis, up to _PLAN_CACHE_SIZE of them:
-    every exam of a run after the first reuses its plan, so a Gaussian
-    exam draws its matrix and takes its singular values once per run.
-    A cached plan holds the bits a fresh one would, and its arrays are
-    read-only.  A singular matrix is cached like any other: its plan
-    keeps its singular values, so every exam on it raises.
-    """
-    return _cached_plan(d, None if standard else operator.index(seed))
-
-
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _cached_plan(d, seed):
-    """query_plan's entries; seed None stands for the coordinate basis."""
-    standard = seed is None
-    queries = make_basis_queries(d, seed, standard)
-    svals = (np.ones(d) if standard
-             else np.linalg.svd(queries, compute_uv=False))
-    svals.setflags(write=False)
-    return QueryPlan(queries, svals, standard)
 
 
 def _logit(p):
@@ -312,48 +260,44 @@ def _sigmoid_inversion_error(responses, rhs, sigma_min):
     return float(np.linalg.norm(err)) / sigma_min
 
 
-def exact_recover_bijective(queries, responses, feedback):
+def exact_recover_bijective(queries, responses, feedback, standard=False):
     """Recover v = G^T w from responses through an invertible feedback.
 
     Inverts F pointwise and solves the d x d system <v, q_j> = F^-1(r_j),
-    one query per row of ``queries``, a matrix or the QueryPlan of one
-    (see query_plan), which brings the singular values that decide the
-    rank; a bare matrix has them taken here.  The rank test raises
-    RankDeficientError when the smallest singular value is at most 1e-10
-    of the largest.  The sigmoid inverse amplifies response rounding
-    without bound as r nears 0 or 1; that error is reported as
-    ``inversion_error``.
+    one query per row of ``queries``.  The rank is decided by the
+    singular values of ``queries``: RankDeficientError when the smallest
+    is at most 1e-10 of the largest.  The sigmoid inverse amplifies
+    response rounding without bound as r nears 0 or 1; that error is
+    reported as ``inversion_error``.
 
-    A plan of coordinate queries is solved in closed form when F^-1(r)
-    is finite: v_hat = F^-1(r), residual 0.0 and sigma_min 1, the bits
-    np.linalg.solve(I, F^-1(r)) and its residual give.  The solve
-    returns a finite right-hand side's bits but for a -0.0 entry, which
-    it may turn into +0.0 (0 times a negative entry is -0.0, and
-    -0.0 - -0.0 is +0.0), and F^-1 never returns -0.0: the identity
-    inverse adds 0.0, and the logit of 0.5 is log(c) - log1p(-c) = +0.0.
-    A right-hand side that is not finite takes the solve.
+    standard=True says ``queries`` is the coordinate basis e_1..e_d
+    (make_basis_queries(d, seed, standard=True)).  Then a finite F^-1(r)
+    is the answer in closed form, with no SVD, rank test or solve:
+    v_hat = F^-1(r), residual 0.0 and sigma_min 1, the bits
+    np.linalg.solve(I, F^-1(r)) and its residual give.  The solve returns
+    a finite right-hand side's bits but for a -0.0 entry, which it may
+    turn into +0.0 (0 times a negative entry is -0.0, and -0.0 - -0.0 is
+    +0.0), and F^-1 never returns -0.0: the identity inverse adds 0.0,
+    and the logit of 0.5 is log(c) - log1p(-c) = +0.0.  A right-hand
+    side that is not finite takes the solve.
     """
-    if isinstance(queries, QueryPlan):
-        queries, svals, standard = queries
-    else:
-        svals, standard = None, False
     responses = np.asarray(responses, dtype=np.float64)
     if responses.shape != (len(queries),):
         raise ValueError(
             f"expected {len(queries)} responses, got shape {responses.shape}")
     rhs = feedback_invert(feedback, responses)
-    if svals is None:
-        svals = np.linalg.svd(queries, compute_uv=False)
-    if svals[-1] <= _RANK_TOL * svals[0]:
-        raise RankDeficientError(
-            f"query matrix numerically singular (relative smallest "
-            f"singular value {svals[-1] / svals[0]:.3e})")
     if standard and np.isfinite(rhs).all():
-        v_hat, residual = rhs, 0.0
+        v_hat, residual, sigma_min = rhs, 0.0, 1.0
     else:
+        svals = np.linalg.svd(queries, compute_uv=False)
+        if svals[-1] <= _RANK_TOL * svals[0]:
+            raise RankDeficientError(
+                f"query matrix numerically singular (relative smallest "
+                f"singular value {svals[-1] / svals[0]:.3e})")
         v_hat = np.linalg.solve(queries, rhs)
         residual = float(np.max(np.abs(queries @ v_hat - rhs)))
-    inversion = (_sigmoid_inversion_error(responses, rhs, float(svals[-1]))
+        sigma_min = float(svals[-1])
+    inversion = (_sigmoid_inversion_error(responses, rhs, sigma_min)
                  if feedback == "sigmoid" else 0.0)
     return ExamResult(v_hat=v_hat, queries_used=len(queries),
                       residual=residual, inversion_error=inversion)
@@ -627,10 +571,10 @@ def construct_virtual_learner(remote, config, prior=None, last=None,
                               target=None):
     """Run the exam appropriate to the student's feedback channel.
 
-    Dispatches on feedback kind: identity/sigmoid ask the d queries of
-    the run's cached query_plan and solve (in closed form on coordinate
-    queries); hinge-value asks each query q and then -q, and solves the
-    differences as identity answers (2d queries); sign
+    Dispatches on feedback kind: identity/sigmoid ask d basis queries
+    and solve (in closed form on coordinate queries); hinge-value asks
+    each basis query q and then -q, and solves the differences as
+    identity answers (2d queries); sign
     feedback asks the student for the norm ||G^T w|| (one
     remote.disclosed_norm() per exam) and runs the direction search.
     The exact exams need no prior and ignore prior, last and target.
@@ -656,13 +600,16 @@ def construct_virtual_learner(remote, config, prior=None, last=None,
                                    eps, prior=prior, radius=radius)
     if kind not in ("identity", "sigmoid", "hinge_value"):
         raise ValueError(f"no exam protocol for feedback {kind!r}")
-    plan = query_plan(d, config.query_seed, config.standard_queries)
+    standard = config.standard_queries
+    queries = make_basis_queries(d, config.query_seed, standard=standard)
     if kind != "hinge_value":
-        responses = [remote.query(q) for q in plan.queries]
-        return exact_recover_bijective(plan, responses, kind)
+        responses = [remote.query(q) for q in queries]
+        return exact_recover_bijective(queries, responses, kind,
+                                       standard=standard)
     # max(0, z) - max(0, -z) = z: each pair answers as the identity channel
-    diffs = [remote.query(q) - remote.query(-q) for q in plan.queries]
-    result = exact_recover_bijective(plan, diffs, "identity")
+    diffs = [remote.query(q) - remote.query(-q) for q in queries]
+    result = exact_recover_bijective(queries, diffs, "identity",
+                                     standard=standard)
     return replace(result, queries_used=2 * d)
 
 

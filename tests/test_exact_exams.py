@@ -1,10 +1,8 @@
 """Exact exams at the cost of their queries.
 
-Coordinate queries are solved in closed form, a Gaussian query matrix is
-drawn and its singular values taken once per (d, query_seed), and a
-query on a non-identity map skips respond's re-checks.  Each must keep
-the bits of the path it replaces: the SVD and the solve, a fresh draw,
-and respond(state, apply_map(fmap, x)).
+Coordinate queries are solved in closed form, with no SVD and no solve.
+The closed form must keep the bits of the path it replaces: the SVD, the
+rank test and np.linalg.solve on the identity matrix.
 """
 
 import math
@@ -13,18 +11,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import teachsim.exam
-from teachsim.exam import (QueryPlan, RankDeficientError, RecoveryConfig,
+from teachsim.exam import (RankDeficientError, RecoveryConfig,
                            RemoteLearner, construct_virtual_learner,
-                           exact_recover_bijective, make_basis_queries,
-                           query_plan)
-from teachsim.feature_space import apply_map, random_map
-from teachsim.learners import (FEEDBACKS, LearnerState, SaturationError,
-                               respond)
-from teachsim.rng import KEY_QUERIES, substream
+                           exact_recover_bijective, make_basis_queries)
+from teachsim.feature_space import random_map
+from teachsim.learners import LearnerState, SaturationError
 
 _EXACT = (("identity", "square"), ("sigmoid", "logistic"),
           ("hinge_value", "hinge"))
@@ -83,18 +78,17 @@ def _responses(draw):
 @example(case=("identity", [1.0, math.inf, -0.0]))
 @example(case=("hinge_value", [0.0, -0.0, 3.0]))
 def test_coordinate_queries_solve_in_closed_form_with_the_solves_bits(case):
-    # the plan of coordinate queries skips the SVD and the solve; a bare
-    # identity matrix takes both, as every exam did before
+    # standard=True skips the SVD and the solve; without it the identity
+    # matrix takes both, as every exam did before
     kind, responses = case
     d = len(responses)
     feedback = "identity" if kind == "hinge_value" else kind
-    plan = query_plan(d, 0, standard=True)
-    assert plan.standard
+    eye = make_basis_queries(d, 0, standard=True)
     with np.errstate(all="ignore"):
         closed = _outcome(lambda: exact_recover_bijective(
-            plan, responses, feedback))
+            eye, responses, feedback, standard=True))
         solved = _outcome(lambda: exact_recover_bijective(
-            np.eye(d), responses, feedback))
+            eye, responses, feedback))
     assert closed == solved
     saturated = kind == "sigmoid" and any(r in (0.0, 1.0) for r in responses)
     assert (closed[0] is SaturationError) == saturated
@@ -137,45 +131,19 @@ def test_coordinate_exams_keep_their_bits_on_every_exact_channel(
         assert fast.query_samples == slow.query_samples
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(d=st.integers(1, 64), seed=st.integers(0, 2 ** 64 - 1))
-@example(d=1, seed=0)
-@example(d=50, seed=2 ** 64 - 1)
-def test_a_cached_gaussian_plan_has_the_bits_of_a_fresh_draw(d, seed):
-    fresh = substream(seed, KEY_QUERIES).standard_normal((d, d))
-    first = query_plan(d, seed)
-    assert query_plan(d, np.uint64(seed)) is first  # the cached plan
-    assert not first.standard
-    assert first.queries.tobytes() == fresh.tobytes()
-    assert first.svals.tobytes() == np.linalg.svd(
-        fresh, compute_uv=False).tobytes()
-    assert make_basis_queries(d, seed).tobytes() == fresh.tobytes()
-    # and an exam on it has the bits of one on the fresh matrix
-    w = np.random.default_rng(d).standard_normal(d) / math.sqrt(d)
-    fmap = random_map(d, "general", 3)
-    for feedback, loss in _EXACT[:2]:
-        state = LearnerState(w=w, eta=0.1, loss=loss, feedback=feedback)
-        remote = RemoteLearner(state, fmap)
-        responses = [remote.query(q) for q in fresh]
-        assert _outcome(lambda: exact_recover_bijective(
-            first, responses, feedback)) == _outcome(
-                lambda: exact_recover_bijective(fresh, responses, feedback))
-
-
-def test_cached_plans_are_read_only_and_differ_by_seed():
+def test_basis_queries_are_read_only_and_differ_by_seed():
     for standard in (False, True):
-        plan = query_plan(6, 4, standard)
-        for array in (plan.queries, plan.svals):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 1.0
-    a, b = query_plan(6, 4), query_plan(6, 5)
-    assert a.queries.tobytes() != b.queries.tobytes()
+        queries = make_basis_queries(6, 4, standard)
+        assert not queries.flags.writeable
+        with pytest.raises(ValueError):
+            queries[0, 0] = 1.0
+    a, b = make_basis_queries(6, 4), make_basis_queries(6, 5)
+    assert a.tobytes() == make_basis_queries(6, 4).tobytes()
+    assert a.tobytes() != b.tobytes()
     # coordinate queries ignore the seed
-    assert query_plan(6, 4, True) is query_plan(6, 5, True)
-    np.testing.assert_array_equal(query_plan(6, 4, True).queries, np.eye(6))
+    np.testing.assert_array_equal(make_basis_queries(6, 4, True), np.eye(6))
     with pytest.raises(ValueError, match="d must be >= 1"):
-        query_plan(0, 4)
+        make_basis_queries(0, 4)
 
 
 class _SingularDraw:
@@ -192,102 +160,20 @@ class _SingularDraw:
 
 
 def test_a_singular_query_matrix_fails_every_exam(monkeypatch):
-    # the plan caches the singular values, not a verdict: every exam on a
-    # singular matrix raises, not only the one that drew it
-    cached = teachsim.exam._cached_plan
-    cached.cache_clear()
+    # Gaussian queries take the rank test on every exact channel and at
+    # every exam
     singular = _SingularDraw()
     monkeypatch.setattr(teachsim.exam, "substream",
                         lambda seed, *path: singular)
-    try:
-        fmap = random_map(4, "general", 0)
-        w = np.random.default_rng(1).standard_normal(4)
-        for feedback, loss in _EXACT:
-            remote = RemoteLearner(LearnerState(
-                w=w, eta=0.1, loss=loss, feedback=feedback), fmap)
-            for _ in range(3):
-                with pytest.raises(RankDeficientError):
-                    construct_virtual_learner(remote, RecoveryConfig())
-        assert singular.draws == 1
-    finally:
-        cached.cache_clear()
-
-
-_LAYOUTS = ("contiguous", "offset", "strided", "reversed", "list", "int",
-            "float32", "row", "column", "square", "short", "long")
-
-
-@st.composite
-def _general_query_cases(draw):
-    d = draw(st.integers(1, 64))
-    w = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
-    x = draw(st.lists(_VALUES, min_size=d, max_size=d))
-    return (w, x, draw(st.sampled_from(("unitary", "general"))),
-            draw(st.sampled_from(_LAYOUTS)), draw(st.integers(0, 2 ** 16)))
-
-
-def _laid_out(values, layout):
-    """The query values in the given layout, off or on the fast path."""
-    v = np.array(values, dtype=np.float64)
-    buf = np.zeros(2 * v.size + 1)
-    if layout == "offset":  # contiguous, at an odd 8-byte offset
-        buf[1:v.size + 1] = v
-        return buf[1:v.size + 1]
-    if layout == "strided":
-        buf[:2 * v.size:2] = v
-        return buf[:2 * v.size:2]
-    with np.errstate(invalid="ignore", over="ignore"):
-        return {"contiguous": lambda: v,
-                "reversed": lambda: v[::-1].copy()[::-1],
-                "list": lambda: [float(e) for e in v],
-                "int": lambda: np.nan_to_num(v).clip(-9, 9).astype(np.int64),
-                "float32": lambda: v.astype(np.float32),
-                "row": lambda: v[None, :],
-                "column": lambda: v[:, None],
-                "square": lambda: np.tile(v, (v.size, 1)),
-                "short": lambda: v[:-1],
-                "long": lambda: np.append(v, 1.0)}[layout]()
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=_general_query_cases())
-@example(case=([1.0, -1.0], [math.inf, 0.0], "general", "contiguous", 0))
-@example(case=([1.0, 2.0], [math.nan, 1.0], "unitary", "strided", 1))
-@example(case=([1.0, 2.0], [1.0, 1.0], "general", "short", 2))
-@example(case=([1.0], [1.0], "general", "row", 3))
-def test_general_map_query_answers_as_respond_on_every_channel(case):
-    # a query on a non-identity map answers with the bits, or raises the
-    # error, of respond(state, apply_map(fmap, x)), counts once and takes
-    # exactly one product G x
-    w, values, map_kind, layout, seed = case
-    d = len(w)
-    fmap = random_map(d, map_kind, seed)
-    assume(not fmap.is_identity)  # a d = 1 unitary map may be [[1.0]]
-    x = _laid_out(values, layout)
-    products = [0]
-
-    def counted_product(fmap, x):
-        products[0] += 1
-        return apply_map(fmap, x)
-
-    for feedback in FEEDBACKS:
-        remote = RemoteLearner(LearnerState(w=w, eta=0.1, loss="square",
-                                            feedback=feedback), fmap)
-        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
-            try:
-                expected = _bits(respond(remote.state, apply_map(fmap, x)))
-            except ValueError as exc:
-                expected = str(exc)
-            patch.setattr(teachsim.exam, "apply_map", counted_product)
-            products[0] = 0
-            try:
-                got = _bits(remote.query(x))
-            except ValueError as exc:
-                got = str(exc)
-        assert got == expected, (feedback, layout)
-        assert remote.query_samples == 1 and products[0] == 1
-        assert isinstance(got, str) == (layout in ("row", "column", "square",
-                                                   "short", "long"))
+    fmap = random_map(4, "general", 0)
+    w = np.random.default_rng(1).standard_normal(4)
+    for feedback, loss in _EXACT:
+        remote = RemoteLearner(LearnerState(
+            w=w, eta=0.1, loss=loss, feedback=feedback), fmap)
+        for _ in range(3):
+            with pytest.raises(RankDeficientError):
+                construct_virtual_learner(remote, RecoveryConfig())
+    assert singular.draws == 3 * len(_EXACT)
 
 
 @pytest.mark.parametrize("bad", (True, False, 1.5, 2.0, -1, "3", None,
@@ -309,4 +195,5 @@ def test_recovery_config_accepts_numpy_integers_and_bools():
     assert type(cfg.query_seed) is int and cfg.standard_queries is True
     assert RecoveryConfig(query_seed=np.uint64(2 ** 64 - 1)).query_seed == (
         2 ** 64 - 1)
-    assert isinstance(query_plan(3, cfg.query_seed), QueryPlan)
+    assert make_basis_queries(3, cfg.query_seed).tobytes() == (
+        make_basis_queries(3, 3).tobytes())

@@ -580,8 +580,8 @@ def test_a_sign_target_below_eps_est_runs_the_eps_est_exam():
 def test_exam_query_counts_by_feedback(monkeypatch):
     # as for the sign probes, the benchmark tracer checks RemoteLearner
     # .query calls against query_samples: every exact-exam query is one
-    # call too, on the exam that builds its query plan and on the exams
-    # that reuse it, with Gaussian and with coordinate queries
+    # call too, at every exam of a student, with Gaussian and with
+    # coordinate queries
     calls = [0]
     query = RemoteLearner.query
 
